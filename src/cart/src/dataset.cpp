@@ -140,8 +140,9 @@ Dataset::Dataset(const table::Table& table, std::span<const FeatureInfo> referen
   util::require(!reference.empty(), "Dataset needs at least one feature");
   for (const FeatureInfo& ref : reference) {
     const Column& col = table.column(ref.name);
-    util::require((col.type() == ColumnType::kNominal) == ref.categorical,
-                  "feature '" + ref.name + "' type mismatch with fitted tree");
+    if ((col.type() == ColumnType::kNominal) != ref.categorical) {
+      util::require(false, "feature '" + ref.name + "' type mismatch with fitted tree");
+    }
     features_.push_back(ref);
     columns_.push_back(ref.categorical ? materialize_with_reference(col, ref)
                                        : materialize(col));

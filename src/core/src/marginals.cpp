@@ -45,12 +45,23 @@ std::vector<stats::BinnedRow> Marginals::by_nominal(
     labels = key_col.dictionary();
     std::sort(labels.begin(), labels.end());
   }
+  // Each label's dictionary code maps to its row; codes of labels outside
+  // `labels` (and missing cells) stay unmapped and their rows are skipped.
+  constexpr std::size_t kUnmapped = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> slot_of_code(key_col.cardinality(), kUnmapped);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    const std::int32_t code = key_col.code_of(labels[i]);
+    if (code == table::kMissingCode) continue;
+    std::size_t& slot = slot_of_code[static_cast<std::size_t>(code)];
+    if (slot == kUnmapped) slot = i;  // first occurrence wins
+  }
   stats::CategoricalStats cat(labels);
-  for (std::size_t r = 0; r < tbl_.num_rows(); ++r) {
-    const std::string cell = key_col.cell_to_string(r);
-    const auto it = std::find(labels.begin(), labels.end(), cell);
-    if (it == labels.end()) continue;
-    cat.add(static_cast<std::size_t>(it - labels.begin()), rate.as_double(r));
+  const auto codes = key_col.nominal_codes();
+  const auto rates = rate.continuous_values();
+  for (std::size_t r = 0; r < codes.size(); ++r) {
+    if (codes[r] == table::kMissingCode) continue;
+    const std::size_t slot = slot_of_code[static_cast<std::size_t>(codes[r])];
+    if (slot != kUnmapped) cat.add(slot, rates[r]);
   }
   return cat.rows();
 }

@@ -90,11 +90,11 @@ class EnvironmentModel {
                                                       double delta_f) const;
 
  private:
-  // The columnar engine (fleet_table.hpp) flattens this model's per-rack
+  // The columnar mirror (fleet_table.hpp) flattens this model's per-rack
   // static offsets and per-(dc, hour) coupled terms into SoA columns; it
   // needs the live climate_/coupling_ state (with_setpoint_offset may have
   // shifted it) and the private noise hash to reproduce at() bit for bit.
-  friend class FleetTable;
+  friend class EnvironmentTable;
 
   const Fleet* fleet_;
   std::uint64_t seed_;

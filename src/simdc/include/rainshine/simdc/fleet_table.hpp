@@ -17,6 +17,12 @@
 // multiplies plus the eight irreducible per-(rack, hour) sensor-noise
 // hashes.
 //
+// The environment half (per-rack inlet offsets, per-DC coupling, the
+// weather-coupled day terms and daily_mean) is its own type,
+// EnvironmentTable, buildable from a Fleet and an EnvironmentModel alone:
+// the observation-table builder (core/observations.hpp) reads rack-day
+// conditions through it, so simulation and analysis share one mirror.
+//
 // Bit-identity contract: every value this table produces is computed with
 // the SAME operations in the SAME order as the HazardModel /
 // EnvironmentModel expressions it mirrors (floating-point multiplication is
@@ -48,6 +54,56 @@ struct DayTerms {
   double time_sw = 1.0;  ///< same for software/boot/other faults
 };
 
+/// The environment half of the columnar mirror: EnvironmentModel's per-rack
+/// static inlet offsets and per-DC cooling coupling, flattened so that a
+/// rack-day's mean inlet conditions cost eight noise hashes instead of eight
+/// full EnvironmentModel::at() evaluations. Built from a Fleet and an
+/// EnvironmentModel alone; FleetTable embeds one for the ticket engine, and
+/// core::rack_day_table builds one for the observation table.
+class EnvironmentTable {
+ public:
+  /// Flattens `env` for `fleet`'s racks (index = position in
+  /// Fleet::racks()). Keeps a pointer to `env` for the irreducible
+  /// per-(rack, hour) noise hash, so `env` must outlive the table.
+  EnvironmentTable(const Fleet& fleet, const EnvironmentModel& env);
+
+  [[nodiscard]] std::size_t num_racks() const noexcept { return rack_id_.size(); }
+  [[nodiscard]] util::DayIndex num_days() const noexcept { return num_days_; }
+
+  /// The weather-coupled terms and representative hours of `day`; O(DCs)
+  /// hash/trig work instead of O(racks). The time multipliers are left at
+  /// 1.0 (FleetTable::day_terms fills them).
+  [[nodiscard]] DayTerms day_terms(util::DayIndex day) const;
+
+  /// Mean inlet conditions for rack `r`, bit-identical to
+  /// EnvironmentModel::daily_mean(rack, day) for the day `terms` was built
+  /// for.
+  [[nodiscard]] Conditions daily_mean(std::size_t r, const DayTerms& terms) const;
+
+ private:
+  const EnvironmentModel* env_;
+  util::DayIndex num_days_ = 0;
+
+  // -- Per-rack columns -------------------------------------------------------
+  std::vector<std::int32_t> rack_id_;  ///< the sensor-noise hash key
+  std::vector<std::uint8_t> dc_;       ///< DataCenterId as index
+  // The three per-rack inlet offsets are kept separate (not pre-summed):
+  // at() adds them one by one and fp addition is not associative either.
+  std::vector<double> power_off_, pos_off_, inst_off_;
+
+  // -- Per-DC environment parameters (copied from the live model; the live
+  //    coupling matters — with_setpoint_offset may have shifted it) ----------
+  std::array<double, kNumDataCenters> temp_coupling_{};
+  std::array<double, kNumDataCenters> rh_coupling_{};
+  std::array<double, kNumDataCenters> mean_temp_f_{};
+  std::array<double, kNumDataCenters> mean_rh_{};
+  std::array<double, kNumDataCenters> setpoint_f_{};
+  std::array<double, kNumDataCenters> sensor_noise_f_{};
+  std::array<double, kNumDataCenters> rh_setpoint_{};
+  std::array<double, kNumDataCenters> rh_offset_{};
+  std::array<double, kNumDataCenters> sensor_noise_rh_{};
+};
+
 class FleetTable {
  public:
   /// Flattens the hazard's fleet + environment. The table keeps pointers to
@@ -65,13 +121,16 @@ class FleetTable {
     return geom_[r];
   }
 
-  /// The day-shared terms; O(DCs) hash/trig work instead of O(racks).
+  /// The day-shared terms: the environment's (EnvironmentTable::day_terms)
+  /// plus the fleet-wide time multipliers.
   [[nodiscard]] DayTerms day_terms(util::DayIndex day) const;
 
   /// Mean inlet conditions for rack `r`, bit-identical to
   /// EnvironmentModel::daily_mean(rack, day) for the day `terms` was built
   /// for.
-  [[nodiscard]] Conditions daily_mean(std::size_t r, const DayTerms& terms) const;
+  [[nodiscard]] Conditions daily_mean(std::size_t r, const DayTerms& terms) const {
+    return environment_.daily_mean(r, terms);
+  }
 
   /// Every Poisson intensity simulate_cell consumes for cell (r, day),
   /// bit-identical to the HazardModel evaluations simulate_rack_day makes.
@@ -79,7 +138,7 @@ class FleetTable {
                   CellRates& out) const;
 
  private:
-  const EnvironmentModel* env_;
+  EnvironmentTable environment_;
   HazardConfig cfg_;
   util::DayIndex num_days_ = 0;
 
@@ -95,21 +154,8 @@ class FleetTable {
   std::vector<double> burst_lo_, burst_hi_;
   std::vector<double> batch_static_;
   std::vector<double> batch_lo_, batch_hi_;
-  // The three per-rack inlet offsets are kept separate (not pre-summed):
-  // at() adds them one by one and fp addition is not associative either.
-  std::vector<double> power_off_, pos_off_, inst_off_;
 
-  // -- Per-DC environment parameters (copied from the live models; the live
-  //    coupling matters — with_setpoint_offset may have shifted it) ----------
-  std::array<double, kNumDataCenters> temp_coupling_{};
-  std::array<double, kNumDataCenters> rh_coupling_{};
-  std::array<double, kNumDataCenters> mean_temp_f_{};
-  std::array<double, kNumDataCenters> mean_rh_{};
-  std::array<double, kNumDataCenters> setpoint_f_{};
-  std::array<double, kNumDataCenters> sensor_noise_f_{};
-  std::array<double, kNumDataCenters> rh_setpoint_{};
-  std::array<double, kNumDataCenters> rh_offset_{};
-  std::array<double, kNumDataCenters> sensor_noise_rh_{};
+  // -- Per-DC hazard switch ---------------------------------------------------
   std::array<bool, kNumDataCenters> env_sensitive_{};
 
   // -- Per-day / per-age tables ----------------------------------------------

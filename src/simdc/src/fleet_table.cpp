@@ -15,8 +15,88 @@ double clamp(double v, double lo, double hi) {
 
 }  // namespace
 
+EnvironmentTable::EnvironmentTable(const Fleet& fleet, const EnvironmentModel& env)
+    : env_(&env), num_days_(fleet.spec().num_days) {
+  const auto& racks = fleet.racks();
+  const std::size_t n = racks.size();
+  rack_id_.reserve(n);
+  dc_.reserve(n);
+  power_off_.reserve(n);
+  pos_off_.reserve(n);
+  inst_off_.reserve(n);
+  for (const Rack& rack : racks) {
+    rack_id_.push_back(rack.id);
+    dc_.push_back(static_cast<std::uint8_t>(rack.dc));
+    // EnvironmentModel::at()'s static per-rack inlet offsets, verbatim.
+    power_off_.push_back((rack.rated_power_kw - 8.0) * 0.30);
+    const int row_len = fleet.dc_spec(rack.dc).racks_per_row;
+    const double center =
+        std::abs(static_cast<double>(rack.pos_in_row) - (row_len - 1) / 2.0) /
+        std::max(1.0, (row_len - 1) / 2.0);
+    pos_off_.push_back((1.0 - center) * 1.2);
+    inst_off_.push_back(
+        1.2 * env_->hash_normal(3, static_cast<std::uint64_t>(rack.id), 0));
+  }
+
+  for (const DataCenterSpec& dc : fleet.spec().datacenters) {
+    const auto idx = static_cast<std::size_t>(dc.id);
+    const CoolingCoupling& k = env_->coupling_[idx];
+    const ClimateSpec& climate = env_->climate_[idx];
+    temp_coupling_[idx] = k.temp_coupling;
+    rh_coupling_[idx] = k.rh_coupling;
+    mean_temp_f_[idx] = climate.mean_temp_f;
+    mean_rh_[idx] = climate.mean_rh;
+    setpoint_f_[idx] = k.setpoint_f;
+    sensor_noise_f_[idx] = k.sensor_noise_f;
+    rh_setpoint_[idx] = k.rh_setpoint;
+    rh_offset_[idx] = k.rh_offset;
+    sensor_noise_rh_[idx] = k.sensor_noise_rh;
+  }
+}
+
+DayTerms EnvironmentTable::day_terms(util::DayIndex day) const {
+  util::require(day >= 0 && day < num_days_, "day outside the fleet window");
+  DayTerms terms;
+  const util::HourIndex first = util::Calendar::first_hour(day);
+  for (std::size_t k = 0; k < EnvironmentModel::kDailyMeanHours.size(); ++k) {
+    const util::HourIndex hour = first + EnvironmentModel::kDailyMeanHours[k];
+    terms.hours[k] = hour;
+    for (std::size_t d = 0; d < kNumDataCenters; ++d) {
+      const auto dc = static_cast<DataCenterId>(d);
+      const double t_out = env_->outdoor_temperature_f(dc, hour);
+      const double rh_out = env_->outdoor_rh(dc, hour);
+      terms.coupled_t[d][k] = temp_coupling_[d] * (t_out - mean_temp_f_[d]);
+      terms.coupled_rh[d][k] = rh_coupling_[d] * (rh_out - mean_rh_[d]);
+    }
+  }
+  return terms;
+}
+
+Conditions EnvironmentTable::daily_mean(std::size_t r, const DayTerms& terms) const {
+  const auto d = static_cast<std::size_t>(dc_[r]);
+  const auto rack_key = static_cast<std::uint64_t>(rack_id_[r]);
+  Conditions acc{0.0, 0.0};
+  for (std::size_t k = 0; k < EnvironmentModel::kDailyMeanHours.size(); ++k) {
+    const auto hour_key = static_cast<std::uint64_t>(terms.hours[k]);
+    // The summands mirror EnvironmentModel::at() term by term, in its
+    // addition order (fp addition is not associative).
+    acc.temperature_f +=
+        clamp(setpoint_f_[d] + terms.coupled_t[d][k] + power_off_[r] +
+                  pos_off_[r] + inst_off_[r] +
+                  sensor_noise_f_[d] * env_->hash_normal(4, rack_key, hour_key),
+              56.0, 90.0);
+    acc.relative_humidity +=
+        clamp(rh_setpoint_[d] + terms.coupled_rh[d][k] + rh_offset_[d] +
+                  sensor_noise_rh_[d] * env_->hash_normal(5, rack_key, hour_key),
+              5.0, 87.0);
+  }
+  acc.temperature_f /= EnvironmentModel::kDailyMeanHours.size();
+  acc.relative_humidity /= EnvironmentModel::kDailyMeanHours.size();
+  return acc;
+}
+
 FleetTable::FleetTable(const HazardModel& hazard)
-    : env_(&hazard.environment()),
+    : environment_(hazard.fleet(), hazard.environment()),
       cfg_(hazard.config()),
       num_days_(hazard.fleet().spec().num_days) {
   const Fleet& fleet = hazard.fleet();
@@ -33,9 +113,6 @@ FleetTable::FleetTable(const HazardModel& hazard)
   batch_static_.reserve(n);
   batch_lo_.reserve(n);
   batch_hi_.reserve(n);
-  power_off_.reserve(n);
-  pos_off_.reserve(n);
-  inst_off_.reserve(n);
 
   std::int32_t min_commission = 0;
   for (const Rack& rack : racks) {
@@ -77,31 +154,10 @@ FleetTable::FleetTable(const HazardModel& hazard)
     const auto [dlo, dhi] = hazard.disk_batch_fraction_range(rack);
     batch_lo_.push_back(dlo);
     batch_hi_.push_back(dhi);
-
-    // EnvironmentModel::at()'s static per-rack inlet offsets, verbatim.
-    power_off_.push_back((rack.rated_power_kw - 8.0) * 0.30);
-    const int row_len = fleet.dc_spec(rack.dc).racks_per_row;
-    const double center =
-        std::abs(static_cast<double>(rack.pos_in_row) - (row_len - 1) / 2.0) /
-        std::max(1.0, (row_len - 1) / 2.0);
-    pos_off_.push_back((1.0 - center) * 1.2);
-    inst_off_.push_back(
-        1.2 * env_->hash_normal(3, static_cast<std::uint64_t>(rack.id), 0));
   }
 
   for (const DataCenterSpec& dc : fleet.spec().datacenters) {
     const auto idx = static_cast<std::size_t>(dc.id);
-    const CoolingCoupling& k = env_->coupling_[idx];
-    const ClimateSpec& climate = env_->climate_[idx];
-    temp_coupling_[idx] = k.temp_coupling;
-    rh_coupling_[idx] = k.rh_coupling;
-    mean_temp_f_[idx] = climate.mean_temp_f;
-    mean_rh_[idx] = climate.mean_rh;
-    setpoint_f_[idx] = k.setpoint_f;
-    sensor_noise_f_[idx] = k.sensor_noise_f;
-    rh_setpoint_[idx] = k.rh_setpoint;
-    rh_offset_[idx] = k.rh_offset;
-    sensor_noise_rh_[idx] = k.sensor_noise_rh;
     env_sensitive_[idx] = cfg_.env_sensitive[idx];
   }
 
@@ -134,46 +190,10 @@ FleetTable::FleetTable(const HazardModel& hazard)
 }
 
 DayTerms FleetTable::day_terms(util::DayIndex day) const {
-  util::require(day >= 0 && day < num_days_, "day outside the fleet window");
-  DayTerms terms;
+  DayTerms terms = environment_.day_terms(day);
   terms.time_hw = time_hw_[static_cast<std::size_t>(day)];
   terms.time_sw = time_sw_[static_cast<std::size_t>(day)];
-  const util::HourIndex first = util::Calendar::first_hour(day);
-  for (std::size_t k = 0; k < EnvironmentModel::kDailyMeanHours.size(); ++k) {
-    const util::HourIndex hour = first + EnvironmentModel::kDailyMeanHours[k];
-    terms.hours[k] = hour;
-    for (std::size_t d = 0; d < kNumDataCenters; ++d) {
-      const auto dc = static_cast<DataCenterId>(d);
-      const double t_out = env_->outdoor_temperature_f(dc, hour);
-      const double rh_out = env_->outdoor_rh(dc, hour);
-      terms.coupled_t[d][k] = temp_coupling_[d] * (t_out - mean_temp_f_[d]);
-      terms.coupled_rh[d][k] = rh_coupling_[d] * (rh_out - mean_rh_[d]);
-    }
-  }
   return terms;
-}
-
-Conditions FleetTable::daily_mean(std::size_t r, const DayTerms& terms) const {
-  const auto d = static_cast<std::size_t>(dc_[r]);
-  const auto rack_key = static_cast<std::uint64_t>(geom_[r].rack_id);
-  Conditions acc{0.0, 0.0};
-  for (std::size_t k = 0; k < EnvironmentModel::kDailyMeanHours.size(); ++k) {
-    const auto hour_key = static_cast<std::uint64_t>(terms.hours[k]);
-    // The summands mirror EnvironmentModel::at() term by term, in its
-    // addition order (fp addition is not associative).
-    acc.temperature_f +=
-        clamp(setpoint_f_[d] + terms.coupled_t[d][k] + power_off_[r] +
-                  pos_off_[r] + inst_off_[r] +
-                  sensor_noise_f_[d] * env_->hash_normal(4, rack_key, hour_key),
-              56.0, 90.0);
-    acc.relative_humidity +=
-        clamp(rh_setpoint_[d] + terms.coupled_rh[d][k] + rh_offset_[d] +
-                  sensor_noise_rh_[d] * env_->hash_normal(5, rack_key, hour_key),
-              5.0, 87.0);
-  }
-  acc.temperature_f /= EnvironmentModel::kDailyMeanHours.size();
-  acc.relative_humidity /= EnvironmentModel::kDailyMeanHours.size();
-  return acc;
 }
 
 void FleetTable::cell_rates(std::size_t r, util::DayIndex day,

@@ -17,10 +17,13 @@ std::optional<std::size_t> Table::index_of(std::string_view name) const noexcept
 }
 
 void Table::add_column(std::string name, Column column) {
-  util::require(!index_of(name).has_value(), "duplicate column name: " + name);
+  if (index_of(name).has_value()) {
+    util::require(false, "duplicate column name: " + name);
+  }
   if (!columns_.empty()) {
-    util::require(column.size() == num_rows_,
-                  "column '" + name + "' length mismatch");
+    if (column.size() != num_rows_) {
+      util::require(false, "column '" + name + "' length mismatch");
+    }
   } else {
     num_rows_ = column.size();
   }
@@ -34,13 +37,13 @@ bool Table::has_column(std::string_view name) const noexcept {
 
 const Column& Table::column(std::string_view name) const {
   const auto idx = index_of(name);
-  util::require(idx.has_value(), "no such column: " + std::string(name));
+  if (!idx) util::require(false, "no such column: " + std::string(name));
   return columns_[*idx];
 }
 
 Column& Table::column(std::string_view name) {
   const auto idx = index_of(name);
-  util::require(idx.has_value(), "no such column: " + std::string(name));
+  if (!idx) util::require(false, "no such column: " + std::string(name));
   return columns_[*idx];
 }
 
@@ -139,8 +142,9 @@ TableBuilder::Pending& TableBuilder::pending_for(std::string_view name) {
   for (auto& p : pending_) {
     if (p.name == name) {
       util::require(in_row_, "set outside of a row");
-      util::require(!p.set_in_current_row,
-                    "column '" + p.name + "' set twice in one row");
+      if (p.set_in_current_row) {
+        util::require(false, "column '" + p.name + "' set twice in one row");
+      }
       p.set_in_current_row = true;
       return p;
     }
@@ -150,7 +154,9 @@ TableBuilder::Pending& TableBuilder::pending_for(std::string_view name) {
 
 void TableBuilder::close_row() {
   for (auto& p : pending_) {
-    util::require(p.set_in_current_row, "column '" + p.name + "' not set in row");
+    if (!p.set_in_current_row) {
+      util::require(false, "column '" + p.name + "' not set in row");
+    }
     p.set_in_current_row = false;
   }
 }
