@@ -70,8 +70,8 @@ int main() {
   cfg.max_pending_connections = 4;
   net::HttpServer server(service, nullptr, cfg);
 
-  // 8 rows per request: well under max_batch_rows, so the service's batching
-  // window (max_batch_delay = 2ms) is part of every latency number — the
+  // 8 rows per request: well under max_batch_rows, so every batch is an idle
+  // flush of whatever arrived while the previous one was scored — the
   // realistic serving regime, not a batch-saturated one.
   const std::string body = "x\n1.5\n4\n9.25\n12\n18.5\n24\n31\n38.75\n";
 

@@ -179,9 +179,9 @@ if [[ "$net_smoke" == 1 ]]; then
     exit 1
   fi
   ./build/tools/rainshine_metrics --check "$netdir/serve_metrics.json" \
-    --require net.requests_total,net.connections_accepted,serve.requests_completed
+    --require net.requests_total,net.connections_accepted,serve.requests_completed,serve.idle_flushes,serve.queue_wait_us,serve.predict_us,net.csv_decode_us,net.write_us
   ./build/tools/rainshine_metrics --check "$netdir/scrape.json" \
-    --require net.requests_total,serve.requests_completed
+    --require net.requests_total,serve.requests_completed,serve.idle_flushes,serve.queue_wait_us,serve.predict_us,net.csv_decode_us,net.write_us
   echo "net smoke: scored $scored/$rows rows over 127.0.0.1:$port, drained clean"
 
   echo "== net smoke: interrupted batch run still writes its sidecar =="

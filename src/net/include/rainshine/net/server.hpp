@@ -139,6 +139,8 @@ class HttpServer {
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* draining = nullptr;
     obs::Histogram* request_us = nullptr;
+    obs::Histogram* csv_decode_us = nullptr;  ///< read_csv of a /score body
+    obs::Histogram* write_us = nullptr;       ///< response serialize + write_all
   };
 
   void accept_loop();

@@ -1,5 +1,6 @@
 #include "rainshine/net/server.hpp"
 
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <exception>
@@ -56,6 +57,10 @@ HttpResponse text_response(int status, std::string body) {
   return resp;
 }
 
+std::int64_t micros(std::chrono::steady_clock::duration d) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(d).count();
+}
+
 HttpResponse method_not_allowed(const char* allow) {
   HttpResponse resp = text_response(405, "method not allowed");
   resp.headers.push_back({"Allow", allow});
@@ -92,6 +97,8 @@ HttpServer::HttpServer(std::shared_ptr<serve::PredictionService> service,
   obs_.queue_depth = &reg.gauge("net.queue_depth");
   obs_.draining = &reg.gauge("net.draining");
   obs_.request_us = &reg.histogram("net.request_us");
+  obs_.csv_decode_us = &reg.histogram("net.csv_decode_us");
+  obs_.write_us = &reg.histogram("net.write_us");
   obs_.draining->set(0.0);
 
   workers_.reserve(config_.num_workers);
@@ -251,15 +258,16 @@ void HttpServer::serve_connection(TcpSocket sock) {
     // A drain that lands mid-request still answers that request — with
     // Connection: close so the client reconnects elsewhere.
     const bool keep = outcome.request.keep_alive() && !draining();
+    const auto write_start = std::chrono::steady_clock::now();
     try {
       sock.write_all(resp.serialize(keep));
     } catch (const io_error&) {
       obs_.io_errors->add();
       return;
     }
-    const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::steady_clock::now() - start);
-    obs_.request_us->observe(static_cast<double>(elapsed.count()));
+    const auto end = std::chrono::steady_clock::now();
+    obs_.write_us->observe(static_cast<double>(micros(end - write_start)));
+    obs_.request_us->observe(static_cast<double>(micros(end - start)));
     if (!keep) return;
   }
 }
@@ -308,8 +316,11 @@ HttpResponse HttpServer::handle_score(const HttpRequest& req) {
 
   table::Table rows;
   try {
+    const auto decode_start = std::chrono::steady_clock::now();
     std::istringstream in(req.body);
     rows = table::read_csv(in);
+    obs_.csv_decode_us->observe(static_cast<double>(
+        micros(std::chrono::steady_clock::now() - decode_start)));
   } catch (const std::exception& e) {
     return text_response(400, std::string("bad CSV: ") + e.what());
   }

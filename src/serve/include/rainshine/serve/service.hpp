@@ -1,16 +1,24 @@
-// PredictionService: bounded admission, micro-batched scoring.
+// PredictionService: bounded admission, idle-flush batching.
 //
 // Scoring traffic arrives as many small row groups (a rack's latest
-// telemetry, one experiment arm's day) while the forest prefers large
-// batches — Forest::predict fans rows out across the util::parallel pool, so
-// per-request overhead amortizes with batch size. The service sits between:
+// telemetry, one experiment arm's day). The service sits between those
+// callers and the forest:
 //
 //   submit() ──► bounded admission queue ──► dispatcher thread ──► pool
-//                (backpressure: blocks or      (flushes a batch when
-//                 rejects when max_queue_rows   pending rows reach
-//                 of rows are pending)          max_batch_rows, or the
-//                                               oldest request has waited
-//                                               max_batch_delay)
+//                (backpressure: blocks or      (takes what is pending as
+//                 rejects when max_queue_rows   soon as it is free, up to
+//                 of rows are pending)          max_batch_rows rows of
+//                                               whole requests)
+//
+// Idle flush: each request is scored by its own Forest::predict, so a batch
+// shares no work between its requests and holding a request back can only
+// add latency. The dispatcher therefore never waits for company: it takes
+// whatever is pending the moment it is not busy scoring, and requests that
+// arrive while a batch is being scored form the next batch. Batch size
+// follows the load without a timer (the adaptive batching of Clipper,
+// Crankshaw et al., NSDI 2017). A nonzero max_batch_delay restores a fixed
+// hold — the oldest request waits up to that long for max_batch_rows to
+// fill — which tests use to keep requests sitting in the queue.
 //
 // Determinism: a request's rows are scored by Forest::predict over the
 // request's own Dataset, which is bit-identical at any thread count (see
@@ -23,17 +31,18 @@
 // inside the dispatcher lands in that request's future alone.
 //
 // Counters: per-service (= per-model) admitted/rejected/completed counts,
-// rows, batches by flush cause, queue depth high-water mark and end-to-end
-// latency live in ServiceStats — the serving-side analogue of the λ/µ
-// counters core::metrics keeps for failures — and are readable at any time
-// via stats(). The same events also publish to the process-wide
-// obs::registry() under "serve.*" (counters mirroring ServiceStats, a
-// serve.queue_depth_rows gauge, and serve.latency_us / serve.batch_rows
-// histograms) so a run's metrics sidecar includes serving behaviour without
-// holding a PredictionService handle. Counter ticks and histogram observes
+// rows, batches by flush cause (full / deadline / idle), queue depth
+// high-water mark and end-to-end latency live in ServiceStats — the
+// serving-side analogue of the λ/µ counters core::metrics keeps for
+// failures — and are readable at any time via stats(). The same events also
+// publish to the process-wide obs::registry() under "serve.*" (counters
+// mirroring ServiceStats, a serve.queue_depth_rows gauge, and
+// serve.latency_us / serve.batch_rows / serve.queue_wait_us /
+// serve.predict_us histograms) so a run's metrics sidecar includes serving
+// behaviour without holding a PredictionService handle. Counter ticks and histogram observes
 // for a request happen in one critical section before its future fulfills,
 // so obs snapshots taken after .get() are cross-metric consistent
-// (latency histogram count == serve.requests_completed).
+// (latency and predict histogram counts == serve.requests_completed).
 //
 // Shutdown contract: a request whose submit() began before destruction is
 // either scored by the drain or its future fails with service_stopped_error
@@ -84,15 +93,20 @@ class deadline_exceeded_error : public std::runtime_error {
 using Deadline = std::optional<std::chrono::steady_clock::time_point>;
 
 struct ServiceConfig {
-  /// Flush the pending batch once this many rows are queued.
+  /// Largest batch the dispatcher takes at once, in rows of whole requests
+  /// (the last request may overshoot it). With a hold, reaching it also
+  /// ends the hold early.
   std::size_t max_batch_rows = 256;
   /// Admission bound: submit() blocks (try_submit() refuses) while this many
   /// rows are already pending. An oversized single request is admitted when
   /// the queue is empty, so it can never deadlock.
   std::size_t max_queue_rows = 4096;
-  /// Flush the pending batch once its oldest request has waited this long,
-  /// even if it is below max_batch_rows.
-  std::chrono::microseconds max_batch_delay{2000};
+  /// 0 (the default) = idle flush: the dispatcher takes whatever is pending
+  /// as soon as it is free. Nonzero = a fixed hold: the batch waits until
+  /// max_batch_rows rows are pending or its oldest request has waited this
+  /// long. Scoring is per request, so a hold only adds latency; it exists
+  /// to keep requests queued (backpressure, drain and deadline tests).
+  std::chrono::microseconds max_batch_delay{0};
   /// Which inference engine scores batches: the flat compiled layout
   /// (default) or the pointer-walking reference. Both are bit-identical;
   /// kWalker exists as the golden fallback (--scorer=walker).
@@ -115,8 +129,10 @@ struct ServiceStats {
   std::uint64_t oversize_admitted = 0;  ///< single request > max_queue_rows
   std::uint64_t rows_scored = 0;
   std::uint64_t batches_flushed = 0;
+  /// full + deadline + idle == batches_flushed.
   std::uint64_t full_flushes = 0;       ///< batch reached max_batch_rows
-  std::uint64_t deadline_flushes = 0;   ///< flushed by max_batch_delay / drain
+  std::uint64_t deadline_flushes = 0;   ///< below max_batch_rows, hold > 0
+  std::uint64_t idle_flushes = 0;       ///< below max_batch_rows, hold == 0
   std::uint64_t queue_depth_rows = 0;   ///< pending right now
   std::uint64_t peak_queue_rows = 0;    ///< high-water mark
   std::uint64_t blocked_submits = 0;    ///< producers parked in submit() now
@@ -209,16 +225,19 @@ class PredictionService {
     obs::Counter* batches = nullptr;
     obs::Counter* full_flushes = nullptr;
     obs::Counter* deadline_flushes = nullptr;
+    obs::Counter* idle_flushes = nullptr;
     obs::Counter* oversize = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::Histogram* latency_us = nullptr;
     obs::Histogram* batch_rows = nullptr;
+    obs::Histogram* queue_wait_us = nullptr;  ///< enqueue → taken into a batch
+    obs::Histogram* predict_us = nullptr;     ///< one request's Forest::predict
   };
 
   std::future<std::vector<double>> enqueue(const table::Table& rows, bool blocking,
                                            Admission& outcome, Deadline deadline);
   void run();
-  void score_batch(std::vector<Request> batch, bool deadline_flush);
+  void score_batch(std::vector<Request> batch);
 
   ModelMetadata meta_;
   std::shared_ptr<const cart::Forest> forest_;

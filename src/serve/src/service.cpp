@@ -8,10 +8,15 @@ namespace rainshine::serve {
 
 namespace {
 
-std::uint64_t elapsed_us(std::chrono::steady_clock::time_point since) {
-  const auto d = std::chrono::steady_clock::now() - since;
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(d).count();
+std::uint64_t us_between(std::chrono::steady_clock::time_point from,
+                         std::chrono::steady_clock::time_point to) {
+  const auto us =
+      std::chrono::duration_cast<std::chrono::microseconds>(to - from).count();
   return us < 0 ? 0 : static_cast<std::uint64_t>(us);
+}
+
+std::uint64_t elapsed_us(std::chrono::steady_clock::time_point since) {
+  return us_between(since, std::chrono::steady_clock::now());
 }
 
 }  // namespace
@@ -21,7 +26,8 @@ std::string ServiceStats::summary() const {
   std::snprintf(buf, sizeof buf,
                 "%llu req (%llu rejected, %llu failed, %llu expired), "
                 "%llu rows in %llu "
-                "batches (%llu full, %llu deadline), peak queue %llu rows, "
+                "batches (%llu full, %llu deadline, %llu idle), "
+                "peak queue %llu rows, "
                 "latency mean %.1fus max %lluus",
                 static_cast<unsigned long long>(requests_admitted),
                 static_cast<unsigned long long>(requests_rejected),
@@ -31,6 +37,7 @@ std::string ServiceStats::summary() const {
                 static_cast<unsigned long long>(batches_flushed),
                 static_cast<unsigned long long>(full_flushes),
                 static_cast<unsigned long long>(deadline_flushes),
+                static_cast<unsigned long long>(idle_flushes),
                 static_cast<unsigned long long>(peak_queue_rows),
                 mean_latency_us(),
                 static_cast<unsigned long long>(max_latency_us));
@@ -57,11 +64,14 @@ PredictionService::PredictionService(ModelArtifact artifact, ServiceConfig confi
   obs_.batches = &reg.counter("serve.batches_flushed");
   obs_.full_flushes = &reg.counter("serve.full_flushes");
   obs_.deadline_flushes = &reg.counter("serve.deadline_flushes");
+  obs_.idle_flushes = &reg.counter("serve.idle_flushes");
   obs_.oversize = &reg.counter("serve.oversize_admitted");
   obs_.queue_depth = &reg.gauge("serve.queue_depth_rows");
   obs_.latency_us = &reg.histogram("serve.latency_us");
   obs_.batch_rows =
       &reg.histogram("serve.batch_rows", obs::default_size_buckets());
+  obs_.queue_wait_us = &reg.histogram("serve.queue_wait_us");
+  obs_.predict_us = &reg.histogram("serve.predict_us");
   dispatcher_ = std::thread([this] { run(); });
 }
 
@@ -211,6 +221,9 @@ ServiceStats PredictionService::stats() const {
 }
 
 void PredictionService::run() {
+  // Idle flush (no hold) skips the timed wait: the batch is whatever is
+  // pending once this thread is free again.
+  const bool hold = config_.max_batch_delay.count() > 0;
   std::unique_lock lock(mutex_);
   for (;;) {
     work_ready_.wait(lock, [&] { return stop_ || !pending_.empty(); });
@@ -218,24 +231,31 @@ void PredictionService::run() {
       if (stop_) return;  // drained; nothing can arrive after stop_
       continue;
     }
-    // Micro-batching: sleep until the oldest request's deadline unless the
-    // batch fills (or a flush/stop forces the issue) first.
-    const auto deadline = pending_.front().enqueued + config_.max_batch_delay;
-    work_ready_.wait_until(lock, deadline, [&] {
-      return stop_ || flush_requested_ ||
-             pending_rows_ >= config_.max_batch_rows;
-    });
-    if (pending_.empty()) continue;  // a racing flush drained the queue
+    if (hold) {
+      // Fixed hold: sleep until the oldest request has waited max_batch_delay
+      // unless the batch fills (or a flush/stop forces the issue) first.
+      const auto until = pending_.front().enqueued + config_.max_batch_delay;
+      work_ready_.wait_until(lock, until, [&] {
+        return stop_ || flush_requested_ ||
+               pending_rows_ >= config_.max_batch_rows;
+      });
+      if (pending_.empty()) continue;  // a racing flush drained the queue
+    }
 
     // Full flush: peel off max_batch_rows worth of requests; the remainder
-    // keeps its place in line. Deadline/drain flush: take everything.
+    // keeps its place in line. Otherwise (hold expired, idle, drain) take
+    // everything.
     const bool full = pending_rows_ >= config_.max_batch_rows;
     std::vector<Request> batch;
     std::size_t batch_rows = 0;
+    const auto taken = std::chrono::steady_clock::now();
     while (!pending_.empty()) {
       if (full && !batch.empty() && batch_rows >= config_.max_batch_rows) break;
-      batch_rows += pending_.front().rows.num_rows();
-      batch.push_back(std::move(pending_.front()));
+      Request& front = pending_.front();
+      batch_rows += front.rows.num_rows();
+      obs_.queue_wait_us->observe(
+          static_cast<double>(us_between(front.enqueued, taken)));
+      batch.push_back(std::move(front));
       pending_.pop_front();
     }
     pending_rows_ -= batch_rows;
@@ -247,24 +267,27 @@ void PredictionService::run() {
     if (full) {
       ++stats_.full_flushes;
       obs_.full_flushes->add();
-    } else {
+    } else if (hold) {
       ++stats_.deadline_flushes;
       obs_.deadline_flushes->add();
+    } else {
+      ++stats_.idle_flushes;
+      obs_.idle_flushes->add();
     }
     lock.unlock();
     space_free_.notify_all();
-    score_batch(std::move(batch), !full);
+    score_batch(std::move(batch));
     lock.lock();
     if (pending_.empty() && flush_requested_) flush_requested_ = false;
   }
 }
 
-void PredictionService::score_batch(std::vector<Request> batch,
-                                    bool /*deadline_flush*/) {
+void PredictionService::score_batch(std::vector<Request> batch) {
   for (Request& req : batch) {
     const std::size_t n = req.rows.num_rows();
     std::vector<double> result;
     std::exception_ptr error;
+    std::uint64_t predict_us = 0;
     // A request whose deadline lapsed while it waited in the queue is failed,
     // not scored: the caller's budget is spent, and under overload the batch
     // slot is better given to a request someone is still waiting for.
@@ -279,7 +302,9 @@ void PredictionService::score_batch(std::vector<Request> batch,
         // Forest::predict fans the rows across the shared pool; its output is
         // bit-identical at any thread count and does not depend on what else
         // is in the batch, so batching is pure scheduling.
+        const auto start = std::chrono::steady_clock::now();
         result = forest_->predict(req.rows, config_.scorer);
+        predict_us = elapsed_us(start);
       } catch (...) {
         error = std::current_exception();
       }
@@ -303,6 +328,7 @@ void PredictionService::score_batch(std::vector<Request> batch,
         obs_.completed->add();
         obs_.rows_scored->add(n);
         obs_.latency_us->observe(static_cast<double>(latency));
+        obs_.predict_us->observe(static_cast<double>(predict_us));
       } else {
         ++stats_.requests_failed;
         obs_.failed->add();

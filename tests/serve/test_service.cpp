@@ -1,16 +1,21 @@
 // PredictionService: the batched path must be byte-identical to serial
 // Forest::predict at any thread-pool width (the acceptance criterion for the
-// serving tier), backpressure must bound the queue without deadlocking, and
-// the counters must add up.
+// serving tier), with a fixed hold or with idle flush; idle flush must not
+// hold small requests; backpressure must bound the queue without
+// deadlocking; and the counters must add up.
 #include "rainshine/serve/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <future>
+#include <string_view>
 #include <thread>
 
+#include "rainshine/obs/metrics.hpp"
 #include "rainshine/util/check.hpp"
 #include "rainshine/util/parallel.hpp"
 #include "rainshine/util/rng.hpp"
@@ -80,24 +85,29 @@ TEST(PredictionService, BatchedOutputByteIdenticalToSerialPredict) {
         art.forest->predict(make_scoring_dataset(rows, art.meta.schema)));
   }
 
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    util::set_num_threads(threads);
-    ServiceConfig cfg;
-    cfg.max_batch_rows = 32;
-    cfg.max_batch_delay = std::chrono::microseconds(500);
-    PredictionService service(art, cfg);
-    std::vector<std::future<std::vector<double>>> futures;
-    futures.reserve(requests.size());
-    for (const Table& rows : requests) futures.push_back(service.submit(rows));
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      const std::vector<double> got = futures[i].get();
-      ASSERT_EQ(got.size(), expected[i].size()) << "request " << i;
-      for (std::size_t r = 0; r < got.size(); ++r) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[r]),
-                  std::bit_cast<std::uint64_t>(expected[i][r]))
-            << "request " << i << " row " << r << " at " << threads
-            << " threads";
+  // A 500us hold and idle flush (hold 0) batch the same requests differently;
+  // neither may change a single output bit.
+  for (const auto delay :
+       {std::chrono::microseconds(500), std::chrono::microseconds(0)}) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      util::set_num_threads(threads);
+      ServiceConfig cfg;
+      cfg.max_batch_rows = 32;
+      cfg.max_batch_delay = delay;
+      PredictionService service(art, cfg);
+      std::vector<std::future<std::vector<double>>> futures;
+      futures.reserve(requests.size());
+      for (const Table& rows : requests) futures.push_back(service.submit(rows));
+      for (std::size_t i = 0; i < futures.size(); ++i) {
+        const std::vector<double> got = futures[i].get();
+        ASSERT_EQ(got.size(), expected[i].size()) << "request " << i;
+        for (std::size_t r = 0; r < got.size(); ++r) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[r]),
+                    std::bit_cast<std::uint64_t>(expected[i][r]))
+              << "request " << i << " row " << r << " at " << threads
+              << " threads, hold " << delay.count() << "us";
+        }
       }
     }
   }
@@ -112,6 +122,43 @@ TEST(PredictionService, ScoreIsSynchronousSubmit) {
   const std::vector<double> direct =
       art.forest->predict(make_scoring_dataset(rows, art.meta.schema));
   EXPECT_EQ(via_score, direct);
+}
+
+TEST(PredictionService, IdleFlushScoresSmallRequestsWithoutHolding) {
+  const ModelArtifact art = regression_artifact();
+  PredictionService service(art);  // default config: idle flush
+  const Table one = features_only(make_rows(1, 12));
+  constexpr std::size_t kCalls = 200;
+  const obs::MetricsSnapshot before = obs::registry().snapshot();
+  std::vector<double> call_us;
+  call_us.reserve(kCalls);
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_EQ(service.score(one).size(), 1u);
+    call_us.push_back(std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+  // Sequential callers never overlap, so each call is its own idle flush.
+  const ServiceStats s = service.stats();
+  EXPECT_EQ(s.deadline_flushes, 0u);
+  EXPECT_EQ(s.idle_flushes, kCalls);
+  EXPECT_EQ(s.batches_flushed, kCalls);
+  // The registry mirrors the flush cause, and every scored request lands in
+  // the queue-wait and predict histograms.
+  const obs::MetricsSnapshot after = obs::registry().snapshot();
+  const auto delta_count = [&](std::string_view name) {
+    return after.histogram(name).count - before.histogram(name).count;
+  };
+  EXPECT_EQ(after.counter("serve.idle_flushes") -
+                before.counter("serve.idle_flushes"),
+            kCalls);
+  EXPECT_EQ(delta_count("serve.queue_wait_us"), kCalls);
+  EXPECT_EQ(delta_count("serve.predict_us"), kCalls);
+  // A fixed 2ms hold would put every call at >= 2000us; idle flush must keep
+  // the median well under half of that.
+  std::nth_element(call_us.begin(), call_us.begin() + kCalls / 2, call_us.end());
+  EXPECT_LT(call_us[kCalls / 2], 1000.0);
 }
 
 TEST(PredictionService, BackpressureRejectsWhenQueueFullThenRecovers) {

@@ -2,7 +2,7 @@
 // batched PredictionService.
 //
 //   rainshine_score --model model.rsf [--input rows.csv | -] [--output out.csv]
-//                   [--request-rows N] [--batch N] [--queue N] [--delay-us N]
+//                   [--request-rows N] [--batch N] [--queue N]
 //                   [--stats]
 //
 // Rows arrive from --input (or stdin with `-`/no flag), are schema-checked
@@ -48,7 +48,7 @@ struct Options {
   std::fprintf(stderr,
                "usage: %s --model model.rsf [--input rows.csv|-] "
                "[--output out.csv] [--request-rows N]\n"
-               "        [--batch N] [--queue N] [--delay-us N] [--stats]\n"
+               "        [--batch N] [--queue N] [--stats]\n"
                "        [--metrics metrics.json] [--scorer flat|walker]\n",
                argv0);
   std::exit(2);
@@ -74,9 +74,6 @@ Options parse(int argc, char** argv) {
           std::strtoul(need_value(argc, argv, i), nullptr, 10));
     else if (a == "--queue")
       opt.service.max_queue_rows = static_cast<std::size_t>(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
-    else if (a == "--delay-us")
-      opt.service.max_batch_delay = std::chrono::microseconds(
           std::strtoul(need_value(argc, argv, i), nullptr, 10));
     else if (a == "--stats") opt.stats = true;
     else if (a == "--metrics") opt.metrics = need_value(argc, argv, i);

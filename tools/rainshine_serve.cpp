@@ -4,7 +4,7 @@
 //                   [--host H] [--port P] [--workers N] [--max-pending N]
 //                   [--deadline-ms N] [--max-deadline-ms N]
 //                   [--read-timeout-ms N] [--write-timeout-ms N]
-//                   [--batch N] [--queue N] [--delay-us N]
+//                   [--batch N] [--queue N]
 //                   [--metrics metrics.json]
 //
 // Endpoints: POST /score (CSV in, CSV out), GET /models, GET /metrics,
@@ -51,7 +51,7 @@ struct Options {
                "        [--workers N] [--max-pending N] [--deadline-ms N] "
                "[--max-deadline-ms N]\n"
                "        [--read-timeout-ms N] [--write-timeout-ms N]\n"
-               "        [--batch N] [--queue N] [--delay-us N] "
+               "        [--batch N] [--queue N] "
                "[--metrics metrics.json]\n"
                "        [--scorer flat|walker]\n",
                argv0);
@@ -97,9 +97,6 @@ Options parse(int argc, char** argv) {
           std::strtoul(need_value(argc, argv, i), nullptr, 10));
     else if (a == "--queue")
       opt.service.max_queue_rows = static_cast<std::size_t>(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
-    else if (a == "--delay-us")
-      opt.service.max_batch_delay = std::chrono::microseconds(
           std::strtoul(need_value(argc, argv, i), nullptr, 10));
     else if (a == "--scorer" || a.starts_with("--scorer=")) {
       const std::string_view name =

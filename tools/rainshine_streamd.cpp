@@ -8,7 +8,7 @@
 //                     [--retrain-days N] [--window-days N] [--min-history N]
 //                     [--trees N] [--stride N] [--telemetry-samples N]
 //                     [--host H] [--port P] [--workers N]
-//                     [--batch N] [--queue N] [--delay-us N]
+//                     [--batch N] [--queue N]
 //                     [--scorer flat|walker]
 //                     [--snapshot store.rss] [--metrics metrics.json]
 //
@@ -69,7 +69,7 @@ struct Options {
                "        [--retrain-days N] [--window-days N] [--min-history N]\n"
                "        [--trees N] [--stride N] [--telemetry-samples N]\n"
                "        [--host H] [--port P] [--workers N]\n"
-               "        [--batch N] [--queue N] [--delay-us N] "
+               "        [--batch N] [--queue N] "
                "[--scorer flat|walker]\n"
                "        [--snapshot store.rss] [--metrics metrics.json]\n",
                argv0);
@@ -123,9 +123,6 @@ Options parse(int argc, char** argv) {
           std::strtoul(need_value(argc, argv, i), nullptr, 10));
     else if (a == "--queue")
       opt.service.max_queue_rows = static_cast<std::size_t>(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
-    else if (a == "--delay-us")
-      opt.service.max_batch_delay = std::chrono::microseconds(
           std::strtoul(need_value(argc, argv, i), nullptr, 10));
     else if (a == "--scorer" || a.starts_with("--scorer=")) {
       const std::string_view name =
