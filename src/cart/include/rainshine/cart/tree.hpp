@@ -32,8 +32,9 @@ namespace rainshine::cart {
 /// id), missing compacted to a tail ascending by row id — so they grow
 /// bit-identical trees (asserted by tests/cart/test_grow_golden.cpp).
 enum class SplitEngine : std::uint8_t {
-  /// Sort each feature once per tree, then thread the sorted orders down the
-  /// recursion by stable partitioning (O(d·n) per level). The default.
+  /// Sort each feature once per dataset (SharedOrder), filter that order
+  /// per tree down to its rows with weight > 0, then thread the orders down
+  /// the recursion by stable partitioning (O(d·n) per level). The default.
   kPresort,
   /// Re-sort the node's rows per feature at every node (O(d·n log n) per
   /// level) — the seed implementation, kept as the golden reference.
@@ -162,5 +163,41 @@ class Tree {
 /// vector grows a tree bit-identical to the unweighted overload.
 [[nodiscard]] Tree grow(const Dataset& data, const Config& config,
                         std::span<const double> row_weights);
+
+/// The presort engine's dataset-level row order. For each numeric/ordinal
+/// feature f, `feature(f)` lists every row of the dataset ascending by
+/// (value, row id), with missing rows in an ascending row-id tail;
+/// categorical features have an empty order. It is sorted once per dataset
+/// and read, never written, by every tree grown on that dataset: each tree
+/// keeps its rows with weight > 0 in one linear pass, which leaves the
+/// (value, row id) sequence intact, so a tree grown from a SharedOrder is
+/// bit-identical to one that presorts for itself.
+class SharedOrder {
+ public:
+  /// Sorts every numeric/ordinal feature of `data`, one feature per pool
+  /// task, each by sorting contiguous (value, row id) pairs.
+  explicit SharedOrder(const Dataset& data);
+
+  [[nodiscard]] std::size_t num_rows() const noexcept { return num_rows_; }
+  [[nodiscard]] std::size_t num_features() const noexcept {
+    return offsets_.size() - 1;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> feature(std::size_t f) const {
+    return std::span<const std::uint32_t>(rows_).subspan(
+        offsets_[f], offsets_[f + 1] - offsets_[f]);
+  }
+
+ private:
+  std::size_t num_rows_;
+  std::vector<std::size_t> offsets_;  ///< feature f is [offsets_[f], offsets_[f + 1])
+  std::vector<std::uint32_t> rows_;   ///< every feature's order, one block
+};
+
+/// Weighted growth over a shared order (see SharedOrder). `order` must have
+/// been built from `data`; an order of the wrong shape throws
+/// util::precondition_error. kExhaustive ignores the order.
+[[nodiscard]] Tree grow(const Dataset& data, const Config& config,
+                        std::span<const double> row_weights,
+                        const SharedOrder& order);
 
 }  // namespace rainshine::cart

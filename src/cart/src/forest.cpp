@@ -139,6 +139,7 @@ struct TreeFit {
 };
 
 TreeFit fit_one_tree(const Dataset& data, const ForestConfig& config,
+                     const SharedOrder& shared,
                      const util::Rng& root, std::size_t t,
                      std::size_t sample_size) {
   const std::size_t n = data.num_rows();
@@ -169,7 +170,7 @@ TreeFit fit_one_tree(const Dataset& data, const ForestConfig& config,
     }
   }
 
-  TreeFit fit{grow(data, tree_cfg, bag_weight), {}};
+  TreeFit fit{grow(data, tree_cfg, bag_weight, shared), {}};
 
   // OOB predictions against the ORIGINAL dataset.
   for (std::size_t r = 0; r < n; ++r) {
@@ -189,11 +190,15 @@ Forest grow_forest(const Dataset& data, const ForestConfig& config) {
   const auto sample_size = std::max<std::size_t>(
       1, static_cast<std::size_t>(config.sample_fraction * static_cast<double>(n)));
 
+  // Each numeric feature is sorted once for the whole forest; every tree
+  // then reads the shared order.
+  const SharedOrder shared(data);
+
   // Each tree's RNG derives from (seed, tree_index) alone, so the fits are
   // independent of scheduling; one tree per parallel unit.
   const util::Rng root = util::Rng(config.seed).split("forest");
   auto fits = util::parallel_map(config.num_trees, [&](std::size_t t) {
-    return fit_one_tree(data, config, root, t, sample_size);
+    return fit_one_tree(data, config, shared, root, t, sample_size);
   });
 
   // Out-of-bag accumulation, serially in tree order: per row, sum of

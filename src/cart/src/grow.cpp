@@ -2,22 +2,25 @@
 //
 // Two split-search engines share one arithmetic contract (see DESIGN.md §6d):
 //
-//   * kPresort (default): each numeric feature is sorted ONCE per tree —
-//     rows ascending by (value, row id), missing compacted to an ascending
-//     tail — and the per-feature orders are threaded down the recursion by
-//     stable partitioning, so every node's split search is a single linear
-//     sweep. O(d·n) per tree level.
+//   * kPresort (default): each numeric feature is sorted ONCE per dataset —
+//     every row ascending by (value, row id), missing compacted to an
+//     ascending tail (SharedOrder) — and filtered per tree, in one linear
+//     pass, down to the rows with weight > 0. grow_forest and fit_pruned
+//     share one order across all their trees; plain grow() sorts for itself.
+//     The per-feature orders are threaded down the recursion by stable
+//     partitioning, so every node's split search is a single linear sweep.
+//     O(d·n) per tree level.
 //   * kExhaustive: the seed implementation — re-sort the node's rows per
 //     feature at every node. O(d·n log n) per level. Kept as the golden
 //     reference; tests/cart/test_grow_golden.cpp asserts both engines grow
 //     bit-identical trees.
 //
 // Bit-identity holds because both engines feed the SAME sweep the SAME row
-// sequence: the presorted tie-break is (value, row id) and stable partition
-// preserves it, while the exhaustive comparator sorts by (value, row id)
-// directly — a deterministic total order, so the sequences agree element
-// for element and every floating-point accumulation happens in the same
-// order.
+// sequence: the presorted tie-break is (value, row id) and both the per-tree
+// filter and stable partition preserve it, while the exhaustive comparator
+// sorts by (value, row id) directly — a deterministic total order, so the
+// sequences agree element for element and every floating-point accumulation
+// happens in the same order.
 //
 // Rows carry multiplicity weights (empty = all ones): grow_forest fits each
 // bootstrap tree through per-row bag counts over the original dataset
@@ -34,6 +37,7 @@
 #include "rainshine/obs/metrics.hpp"
 #include "rainshine/obs/trace.hpp"
 #include "rainshine/util/check.hpp"
+#include "rainshine/util/parallel.hpp"
 
 namespace rainshine::cart {
 
@@ -103,6 +107,32 @@ struct ClassStats {
   }
 };
 
+/// Writes numeric feature f's order over every row of `data` (see
+/// SharedOrder) into `out`, which holds num_rows() entries. Present rows
+/// sort as contiguous (value, row) pairs: pair's operator< is the
+/// (value, row id) order, and -0.0/+0.0 compare equal there exactly as in
+/// OrderCmp, so they tie-break by row id. Missing rows collect in ascending
+/// order at the front of `out`, then move to its tail.
+void presort_feature(const Dataset& data, std::size_t f,
+                     std::span<std::uint32_t> out) {
+  const std::span<const double> x = data.column(f);
+  std::vector<std::pair<double, std::uint32_t>> present;
+  present.reserve(x.size());
+  std::size_t missing = 0;
+  for (std::size_t r = 0; r < x.size(); ++r) {
+    const auto row = static_cast<std::uint32_t>(r);
+    if (std::isnan(x[r])) {
+      out[missing++] = row;
+    } else {
+      present.emplace_back(x[r], row);
+    }
+  }
+  std::sort(present.begin(), present.end());
+  std::move_backward(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(missing),
+                     out.end());
+  for (std::size_t i = 0; i < present.size(); ++i) out[i] = present[i].second;
+}
+
 struct BestSplit {
   bool found = false;
   std::size_t feature = 0;
@@ -114,10 +144,14 @@ struct BestSplit {
 
 class Builder {
  public:
-  Builder(const Dataset& data, const Config& cfg, std::span<const double> weights)
+  /// `shared` (may be null) is the dataset's SharedOrder; without one the
+  /// presort engine sorts each feature itself.
+  Builder(const Dataset& data, const Config& cfg, std::span<const double> weights,
+          const SharedOrder* shared)
       : data_(data),
         cfg_(cfg),
         weights_(weights),
+        shared_(shared),
         min_leaf_(static_cast<double>(cfg.min_samples_leaf)),
         presort_(cfg.engine == SplitEngine::kPresort) {}
 
@@ -134,12 +168,31 @@ class Builder {
 
     if (presort_) {
       obs::ScopedTimer presort_timer(obs::registry().histogram("cart.presort_us"));
+      // side_ holds the active-row mask (1 = weight > 0) until the first
+      // partition overwrites it; a byte per row keeps the filter in cache.
       side_.assign(n, 0);
+      for (const std::uint32_t r : rows_) side_[r] = 1;
       order_.resize(data_.num_features());
       for (std::size_t f = 0; f < data_.num_features(); ++f) {
         if (data_.info(f).categorical || !allowed(f)) continue;
-        order_[f] = rows_;
-        std::sort(order_[f].begin(), order_[f].end(), order_cmp(f));
+        std::vector<std::uint32_t>& ord = order_[f];
+        if (shared_ == nullptr) {
+          // Sort, then filter in place: one full-size order alive at a time.
+          ord.resize(n);
+          presort_feature(data_, f, ord);
+          std::erase_if(ord, [this](std::uint32_t r) { return side_[r] == 0; });
+          continue;
+        }
+        const std::span<const std::uint32_t> all = shared_->feature(f);
+        // Branchless compaction: every row is written, only active ones
+        // advance the cursor (one spare slot absorbs a trailing inactive row).
+        ord.resize(rows_.size() + 1);
+        std::size_t k = 0;
+        for (const std::uint32_t r : all) {
+          ord[k] = r;
+          k += side_[r];
+        }
+        ord.resize(rows_.size());
       }
     }
 
@@ -165,6 +218,7 @@ class Builder {
   const Dataset& data_;
   const Config& cfg_;
   std::span<const double> weights_;
+  const SharedOrder* shared_;
   double min_leaf_;
   bool presort_;
   std::vector<Node> nodes_;
@@ -176,10 +230,13 @@ class Builder {
   /// order, then the missing-value rows routed to this child.
   std::vector<std::uint32_t> rows_;
   /// kPresort: per numeric feature, the active rows ascending by
-  /// (value, row id) with missing compacted to an ascending tail; segments
-  /// track rows_ and are stably partitioned alongside it.
+  /// (value, row id) with missing compacted to an ascending tail (the
+  /// dataset order filtered to weight > 0); segments track rows_ and are
+  /// stably partitioned alongside it.
   std::vector<std::vector<std::uint32_t>> order_;
-  std::vector<std::uint8_t> side_;  ///< by dataset row: 1 = routed left
+  /// By dataset row: 1 = active while the orders are filtered, then
+  /// 1 = routed left at each partition.
+  std::vector<std::uint8_t> side_;
 
   // Partition / per-node scratch, reused across nodes (never live across a
   // recursive call).
@@ -199,8 +256,8 @@ class Builder {
     return cfg_.allowed_features.empty() || cfg_.allowed_features[f] != 0;
   }
 
-  /// Deterministic total order shared by both engines: present rows by
-  /// (value, row id), then missing rows by row id.
+  /// kExhaustive's per-node comparator for the total order presort_feature()
+  /// builds: present rows by (value, row id), then missing rows by row id.
   struct OrderCmp {
     const Dataset* data;
     std::size_t f;
@@ -522,14 +579,8 @@ class Builder {
   }
 };
 
-}  // namespace
-
-Tree grow(const Dataset& data, const Config& config) {
-  return grow(data, config, std::span<const double>{});
-}
-
-Tree grow(const Dataset& data, const Config& config,
-          std::span<const double> row_weights) {
+void check_grow_inputs(const Dataset& data, const Config& config,
+                       std::span<const double> row_weights) {
   util::require(data.num_rows() > 0, "cannot grow a tree on empty data");
   util::require(data.has_response(), "growing requires a response column");
   util::require(config.min_samples_leaf >= 1, "min_samples_leaf must be >= 1");
@@ -542,8 +593,44 @@ Tree grow(const Dataset& data, const Config& config,
     util::require(wt >= 0.0 && !std::isnan(wt),
                   "row_weights must be non-negative and not NaN");
   }
-  Builder builder(data, config, row_weights);
-  return builder.build();
+}
+
+}  // namespace
+
+SharedOrder::SharedOrder(const Dataset& data)
+    : num_rows_(data.num_rows()), offsets_(data.num_features() + 1, 0) {
+  const obs::ScopedTimer timer(obs::registry().histogram("cart.presort_us"));
+  for (std::size_t f = 0; f < data.num_features(); ++f) {
+    offsets_[f + 1] = offsets_[f] + (data.info(f).categorical ? 0 : num_rows_);
+  }
+  // One block, allocated here; the pool tasks only fill disjoint slices.
+  rows_.resize(offsets_.back());
+  util::parallel_for(data.num_features(), 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t f = begin; f < end; ++f) {
+      if (data.info(f).categorical) continue;
+      presort_feature(data, f,
+                      std::span<std::uint32_t>(rows_).subspan(offsets_[f], num_rows_));
+    }
+  });
+}
+
+Tree grow(const Dataset& data, const Config& config) {
+  return grow(data, config, std::span<const double>{});
+}
+
+Tree grow(const Dataset& data, const Config& config,
+          std::span<const double> row_weights) {
+  check_grow_inputs(data, config, row_weights);
+  return Builder(data, config, row_weights, nullptr).build();
+}
+
+Tree grow(const Dataset& data, const Config& config,
+          std::span<const double> row_weights, const SharedOrder& order) {
+  check_grow_inputs(data, config, row_weights);
+  util::require(order.num_rows() == data.num_rows() &&
+                    order.num_features() == data.num_features(),
+                "shared order does not match the dataset's shape");
+  return Builder(data, config, row_weights, &order).build();
 }
 
 }  // namespace rainshine::cart

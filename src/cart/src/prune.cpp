@@ -176,11 +176,10 @@ double holdout_error(const Tree& tree, const Dataset& data,
   return err / static_cast<double>(std::max<std::size_t>(1, rows.size()));
 }
 
-}  // namespace
-
-std::vector<CvPoint> cross_validate(const Dataset& data, const Config& growth,
-                                    std::span<const double> cps, std::size_t folds,
-                                    util::Rng& rng) {
+std::vector<CvPoint> cross_validate_with(const Dataset& data, const Config& growth,
+                                         std::span<const double> cps,
+                                         std::size_t folds, util::Rng& rng,
+                                         const SharedOrder& shared) {
   util::require(folds >= 2, "cross_validate needs at least 2 folds");
   util::require(data.num_rows() >= folds, "fewer rows than folds");
   util::require(!cps.empty(), "cross_validate needs candidate cps");
@@ -211,7 +210,7 @@ std::vector<CvPoint> cross_validate(const Dataset& data, const Config& growth,
         train_weight[order[i]] = 1.0;
       }
     }
-    const Tree full = grow(data, fold_cfg, train_weight);
+    const Tree full = grow(data, fold_cfg, train_weight, shared);
     for (std::size_t c = 0; c < cps.size(); ++c) {
       const Tree pruned = prune(full, cps[c]);
       // Evaluate on the ORIGINAL dataset rows held out from this fold.
@@ -220,7 +219,7 @@ std::vector<CvPoint> cross_validate(const Dataset& data, const Config& growth,
   }
 
   // Full-data trees for the leaves column.
-  const Tree full_all = grow(data, fold_cfg);
+  const Tree full_all = grow(data, fold_cfg, {}, shared);
 
   std::vector<CvPoint> out;
   out.reserve(cps.size());
@@ -240,11 +239,22 @@ std::vector<CvPoint> cross_validate(const Dataset& data, const Config& growth,
   return out;
 }
 
+}  // namespace
+
+std::vector<CvPoint> cross_validate(const Dataset& data, const Config& growth,
+                                    std::span<const double> cps, std::size_t folds,
+                                    util::Rng& rng) {
+  return cross_validate_with(data, growth, cps, folds, rng, SharedOrder(data));
+}
+
 FitResult fit_pruned(const Dataset& data, Config growth, std::size_t folds,
                      util::Rng& rng) {
   const obs::ScopedSpan span("cart.fit_pruned");
   growth.cp = std::min(growth.cp, 1e-4);  // grow generously, prune back
-  const Tree full = grow(data, growth);
+  // One presort serves the full tree, every fold tree and the full-data
+  // tree of the cp curve.
+  const SharedOrder shared(data);
+  const Tree full = grow(data, growth, {}, shared);
   std::vector<double> cps = cp_sequence(full);
   // Cap the CV grid: geometric subsample if the sequence is huge.
   constexpr std::size_t kMaxGrid = 25;
@@ -255,7 +265,7 @@ FitResult fit_pruned(const Dataset& data, Config growth, std::size_t folds,
     }
     cps = std::move(sampled);
   }
-  std::vector<CvPoint> curve = cross_validate(data, growth, cps, folds, rng);
+  std::vector<CvPoint> curve = cross_validate_with(data, growth, cps, folds, rng, shared);
 
   // 1-SE rule: the largest cp whose CV error is within one SE of the best.
   const auto best = std::min_element(

@@ -17,7 +17,7 @@
 namespace rainshine::core {
 
 struct PredictionOptions {
-  /// Label horizon: positive iff >= 1 hardware ticket in (d, d + horizon].
+  /// Label horizon: positive iff >= 1 hardware ticket in [d, d + horizon).
   util::DayIndex horizon_days = 7;
   /// History window feeding the recent-failure features.
   util::DayIndex history_days = 7;

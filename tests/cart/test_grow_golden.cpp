@@ -10,12 +10,20 @@
 // The weighted half pins the zero-copy bootstrap contract: a weight-w row
 // behaves like w stacked copies, all-ones weights are bit-identical to the
 // unweighted overload, and zero-weight rows match physically dropped rows.
+//
+// The SharedPresort half pins the dataset-level order: a tree that filters
+// one SharedOrder must equal both the tree that presorts for itself and the
+// exhaustive reference, whatever the weights and feature subsets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "rainshine/cart/forest.hpp"
+#include "rainshine/cart/prune.hpp"
+#include "rainshine/obs/metrics.hpp"
 #include "rainshine/util/check.hpp"
 #include "rainshine/util/rng.hpp"
 
@@ -262,6 +270,201 @@ TEST(WeightedGrow, ValidatesWeights) {
   EXPECT_THROW(grow(data, cfg, nan_w), util::precondition_error);
   const std::vector<double> zeros(data.num_rows(), 0.0);
   EXPECT_THROW(grow(data, cfg, zeros), util::precondition_error);
+}
+
+// ---- Dataset-level presort shared across trees --------------------------
+
+/// The tree grown from `order` must equal the self-presorting tree and the
+/// exhaustive reference under the same weights.
+void expect_shared_matches(const Dataset& data, const Config& base,
+                           std::span<const double> weights,
+                           const SharedOrder& order) {
+  Config presort = base;
+  presort.engine = SplitEngine::kPresort;
+  Config exhaustive = base;
+  exhaustive.engine = SplitEngine::kExhaustive;
+  const Tree shared = grow(data, presort, weights, order);
+  const Tree own = grow(data, presort, weights);
+  const Tree reference = grow(data, exhaustive, weights);
+  ASSERT_EQ(shared.nodes().size(), reference.nodes().size());
+  EXPECT_GT(shared.nodes().size(), 1U);
+  EXPECT_TRUE(shared == own);
+  EXPECT_TRUE(shared == reference);
+}
+
+/// Bootstrap multiplicities (about a third of the rows get weight 0).
+std::vector<double> bag_weights(std::size_t n, std::uint64_t seed) {
+  std::vector<double> weights(n, 0.0);
+  util::Rng draw(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    weights[static_cast<std::size_t>(draw.below(n))] += 1.0;
+  }
+  return weights;
+}
+
+/// The order the exhaustive engine's comparator defines, spelled out
+/// independently: present rows by (value, row id) with == ties, then
+/// missing rows by row id.
+std::vector<std::uint32_t> reference_order(const Dataset& data, std::size_t f) {
+  std::vector<std::uint32_t> rows(data.num_rows());
+  std::iota(rows.begin(), rows.end(), std::uint32_t{0});
+  std::sort(rows.begin(), rows.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const double xa = data.x(a, f);
+    const double xb = data.x(b, f);
+    if (std::isnan(xa) != std::isnan(xb)) return std::isnan(xb);
+    if (!std::isnan(xa) && xa != xb) return xa < xb;
+    return a < b;
+  });
+  return rows;
+}
+
+/// Few distinct values, signed zeros mixed in, and missing cells: every
+/// tie-break path of the (value, row id) order is hit.
+Table signed_zero_fixture(std::size_t n, util::Rng& rng) {
+  std::vector<double> z(n);
+  std::vector<double> q(n);
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto k = rng.below(5);
+    z[i] = k == 0 ? -0.0 : k == 1 ? 0.0 : k == 2 ? -1.0 : k == 3 ? 1.0 : kNaN;
+    q[i] = static_cast<double>(rng.below(3)) - (rng.uniform() < 0.5 ? 0.0 : 1.0);
+    if (q[i] == 0.0 && rng.uniform() < 0.5) q[i] = -0.0;
+    const double zv = std::isnan(z[i]) ? 0.5 : z[i];
+    y[i] = 3.0 * zv + q[i] + rng.uniform(-0.2, 0.2);
+  }
+  Table t;
+  t.add_column("z", Column::continuous(std::move(z)));
+  t.add_column("q", Column::continuous(std::move(q)));
+  t.add_column("y", Column::continuous(std::move(y)));
+  return t;
+}
+
+TEST(SharedPresort, FeatureOrderMatchesExhaustiveComparator) {
+  util::Rng rng(301);
+  const Table t = signed_zero_fixture(500, rng);
+  const Dataset data(t, "y", {"z", "q"}, Task::kRegression);
+  const SharedOrder order(data);
+  ASSERT_EQ(order.num_rows(), data.num_rows());
+  for (std::size_t f = 0; f < data.num_features(); ++f) {
+    const std::span<const std::uint32_t> got = order.feature(f);
+    EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+              reference_order(data, f))
+        << "feature " << f;
+  }
+}
+
+TEST(SharedPresort, SignedZeroAndHeavyTies) {
+  util::Rng rng(302);
+  const Table t = signed_zero_fixture(600, rng);
+  const Dataset data(t, "y", {"z", "q"}, Task::kRegression);
+  const SharedOrder order(data);
+  expect_shared_matches(data, deep_config(SplitEngine::kPresort), {}, order);
+  expect_shared_matches(data, deep_config(SplitEngine::kPresort),
+                        bag_weights(data.num_rows(), 31), order);
+}
+
+TEST(SharedPresort, MissingValuesWithBootstrapWeights) {
+  util::Rng rng(303);
+  const Table t = regression_fixture(700, rng, 0.15);
+  const Dataset data(t, "y", {"x1", "x2"}, Task::kRegression);
+  const SharedOrder order(data);
+  expect_shared_matches(data, deep_config(SplitEngine::kPresort), {}, order);
+  for (const std::uint64_t seed : {1U, 2U, 3U}) {
+    expect_shared_matches(data, deep_config(SplitEngine::kPresort),
+                          bag_weights(data.num_rows(), seed), order);
+  }
+}
+
+TEST(SharedPresort, CategoricalColumnsHoldNoOrder) {
+  util::Rng rng(304);
+  const Table t = mixed_fixture(700, rng, 0.1);
+  const Dataset reg(t, "y", {"temp", "sku", "age"}, Task::kRegression);
+  const SharedOrder order(reg);
+  EXPECT_TRUE(order.feature(1).empty());
+  EXPECT_EQ(order.feature(0).size(), reg.num_rows());
+  EXPECT_EQ(order.feature(2).size(), reg.num_rows());
+  expect_shared_matches(reg, deep_config(SplitEngine::kPresort),
+                        bag_weights(reg.num_rows(), 4), order);
+
+  const Dataset cls(t, "label", {"temp", "sku", "age"}, Task::kClassification);
+  expect_shared_matches(cls, deep_config(SplitEngine::kPresort),
+                        bag_weights(cls.num_rows(), 5), SharedOrder(cls));
+}
+
+TEST(SharedPresort, AllowedFeatureSubsets) {
+  util::Rng rng(305);
+  const Table t = mixed_fixture(600, rng, 0.08);
+  const Dataset data(t, "y", {"temp", "age", "sku"}, Task::kRegression);
+  const SharedOrder order(data);
+  for (const std::vector<std::uint8_t>& allowed :
+       {std::vector<std::uint8_t>{1, 0, 0}, std::vector<std::uint8_t>{0, 1, 1},
+        std::vector<std::uint8_t>{1, 1, 0}}) {
+    Config cfg = deep_config(SplitEngine::kPresort);
+    cfg.allowed_features = allowed;
+    expect_shared_matches(data, cfg, bag_weights(data.num_rows(), 6), order);
+  }
+}
+
+TEST(SharedPresort, ForestWithFeatureSubspaces) {
+  util::Rng rng(306);
+  const Table t = mixed_fixture(600, rng, 0.1);
+  const Dataset data(t, "label", {"temp", "age", "sku"}, Task::kClassification);
+  ForestConfig presort_cfg;
+  presort_cfg.num_trees = 10;
+  presort_cfg.features_per_tree = 2;
+  presort_cfg.tree.cp = 0.001;
+  ForestConfig exhaustive_cfg = presort_cfg;
+  exhaustive_cfg.tree.engine = SplitEngine::kExhaustive;
+  EXPECT_TRUE(grow_forest(data, presort_cfg) == grow_forest(data, exhaustive_cfg));
+}
+
+TEST(SharedPresort, FitPrunedReusesOneOrderAcrossFolds) {
+  util::Rng rng(307);
+  const Table t = mixed_fixture(500, rng, 0.1);
+  const Dataset data(t, "y", {"temp", "age", "sku"}, Task::kRegression);
+  Config presort_cfg;
+  Config exhaustive_cfg;
+  exhaustive_cfg.engine = SplitEngine::kExhaustive;
+  util::Rng a(9);
+  util::Rng b(9);
+  const FitResult shared = fit_pruned(data, presort_cfg, 5, a);
+  const FitResult reference = fit_pruned(data, exhaustive_cfg, 5, b);
+  EXPECT_TRUE(shared.tree == reference.tree);
+  EXPECT_EQ(shared.chosen_cp, reference.chosen_cp);
+  ASSERT_EQ(shared.cv_curve.size(), reference.cv_curve.size());
+  for (std::size_t i = 0; i < shared.cv_curve.size(); ++i) {
+    EXPECT_EQ(shared.cv_curve[i].cp, reference.cv_curve[i].cp);
+    EXPECT_EQ(shared.cv_curve[i].mean_error, reference.cv_curve[i].mean_error);
+    EXPECT_EQ(shared.cv_curve[i].std_error, reference.cv_curve[i].std_error);
+    EXPECT_EQ(shared.cv_curve[i].leaves, reference.cv_curve[i].leaves);
+  }
+}
+
+TEST(SharedPresort, PresortTimerCoversSharedSortAndEveryTreeFilter) {
+  util::Rng rng(308);
+  const Table t = regression_fixture(300, rng, 0.05);
+  const Dataset data(t, "y", {"x1", "x2"}, Task::kRegression);
+  obs::Histogram& presort_us = obs::registry().histogram("cart.presort_us");
+  const std::uint64_t before = presort_us.snapshot().count;
+  ForestConfig cfg;
+  cfg.num_trees = 6;
+  (void)grow_forest(data, cfg);
+  // One observation for the shared sort, one per tree's filter pass.
+  EXPECT_EQ(presort_us.snapshot().count - before, cfg.num_trees + 1);
+}
+
+TEST(SharedPresort, RejectsMismatchedOrder) {
+  util::Rng rng(309);
+  const Table t = regression_fixture(120, rng);
+  const Dataset data(t, "y", {"x1", "x2"}, Task::kRegression);
+  const Table other_t = regression_fixture(119, rng);
+  const Dataset other(other_t, "y", {"x1", "x2"}, Task::kRegression);
+  const Dataset fewer_features(t, "y", {"x1"}, Task::kRegression);
+  const Config cfg;
+  EXPECT_THROW((void)grow(data, cfg, {}, SharedOrder(other)), util::precondition_error);
+  EXPECT_THROW((void)grow(data, cfg, {}, SharedOrder(fewer_features)),
+               util::precondition_error);
+  EXPECT_NO_THROW((void)grow(data, cfg, {}, SharedOrder(data)));
 }
 
 }  // namespace
