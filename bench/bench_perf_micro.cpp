@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -188,6 +189,61 @@ void BM_CartGrow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CartGrow)->Unit(benchmark::kMillisecond);
+
+// ---- Dataset-level presort ------------------------------------------------
+//
+// Arg is the row count. Five numeric columns shaped like the paper's CART
+// features: two continuous readings with a few missing cells, integer ages,
+// and two columns with a handful of distinct values. The pool runs at its
+// default width. BENCH_cart.json records the committed baseline.
+
+const cart::Dataset& presort_dataset(std::size_t rows) {
+  static std::map<std::size_t, std::pair<table::Table, cart::Dataset>> cache;
+  auto it = cache.find(rows);
+  if (it == cache.end()) {
+    util::Rng rng(rows + 1);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> temp(rows);
+    std::vector<double> rh(rows);
+    std::vector<double> age(rows);
+    std::vector<double> year(rows);
+    std::vector<double> power(rows);
+    std::vector<double> y(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      temp[i] = rng.uniform() < 0.01 ? nan : rng.uniform(60.0, 95.0);
+      rh[i] = rng.uniform() < 0.01 ? nan : rng.uniform(0.1, 0.9);
+      age[i] = static_cast<double>(rng.below(72));
+      year[i] = 2010.0 + static_cast<double>(rng.below(7));
+      power[i] = 6.0 + 2.0 * static_cast<double>(rng.below(5));
+      y[i] = rng.uniform(0.0, 1.0);
+    }
+    table::Table t;
+    t.add_column("temp", table::Column::continuous(std::move(temp)));
+    t.add_column("rh", table::Column::continuous(std::move(rh)));
+    t.add_column("age", table::Column::continuous(std::move(age)));
+    t.add_column("year", table::Column::continuous(std::move(year)));
+    t.add_column("power", table::Column::continuous(std::move(power)));
+    t.add_column("y", table::Column::continuous(std::move(y)));
+    cart::Dataset data(t, "y", {"temp", "rh", "age", "year", "power"},
+                       cart::Task::kRegression);
+    it = cache.emplace(rows, std::make_pair(std::move(t), std::move(data))).first;
+  }
+  return it->second.second;
+}
+
+void BM_SharedOrder(benchmark::State& state) {
+  const cart::Dataset& data = presort_dataset(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cart::SharedOrder(data));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_SharedOrder)
+    ->Arg(1 << 14)
+    ->Arg(1 << 16)
+    ->Arg(1 << 18)
+    ->Unit(benchmark::kMillisecond);
 
 // ---- Thread-count sweeps over the parallelized hot paths ----------------
 //

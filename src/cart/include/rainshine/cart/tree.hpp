@@ -172,10 +172,15 @@ class Tree {
 /// keeps its rows with weight > 0 in one linear pass, which leaves the
 /// (value, row id) sequence intact, so a tree grown from a SharedOrder is
 /// bit-identical to one that presorts for itself.
+///
+/// An order depends only on the feature columns and the row count, never on
+/// the response: it stays valid for any Dataset with the same feature
+/// columns, such as a refit on a transformed response.
 class SharedOrder {
  public:
-  /// Sorts every numeric/ordinal feature of `data`, one feature per pool
-  /// task, each by sorting contiguous (value, row id) pairs.
+  /// Radix-sorts every numeric/ordinal feature of `data`, one chunk of
+  /// features per pool task, each chunk with scratch allocated up front on
+  /// the calling thread.
   explicit SharedOrder(const Dataset& data);
 
   [[nodiscard]] std::size_t num_rows() const noexcept { return num_rows_; }

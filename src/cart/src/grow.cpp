@@ -2,11 +2,12 @@
 //
 // Two split-search engines share one arithmetic contract (see DESIGN.md §6d):
 //
-//   * kPresort (default): each numeric feature is sorted ONCE per dataset —
-//     every row ascending by (value, row id), missing compacted to an
-//     ascending tail (SharedOrder) — and filtered per tree, in one linear
-//     pass, down to the rows with weight > 0. grow_forest and fit_pruned
-//     share one order across all their trees; plain grow() sorts for itself.
+//   * kPresort (default): each numeric feature is sorted ONCE per dataset,
+//     by a stable radix sort — every row ascending by (value, row id),
+//     missing compacted to an ascending tail (SharedOrder) — and filtered
+//     per tree, in one linear pass, down to the rows with weight > 0.
+//     grow_forest, fit_pruned and residualized_effect share one order
+//     across all their trees; plain grow() sorts for itself.
 //     The per-feature orders are threaded down the recursion by stable
 //     partitioning, so every node's split search is a single linear sweep.
 //     O(d·n) per tree level.
@@ -28,9 +29,12 @@
 // passes 0/1 fold masks. A weight-w row behaves exactly like w stacked
 // copies in every count, leaf floor and impurity.
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <type_traits>
 
 #include "rainshine/cart/tree.hpp"
@@ -107,30 +111,90 @@ struct ClassStats {
   }
 };
 
+/// presort_feature's LSD radix sort: 64-bit keys in 11-bit digits, so at
+/// most six scatter passes, each over a 2048-bucket histogram.
+constexpr unsigned kDigitBits = 11;
+constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+constexpr unsigned kDigits = (64 + kDigitBits - 1) / kDigitBits;
+
+/// Buffers for presort_feature, sized to one dataset's rows and reused
+/// across its features. Callers allocate them on their own thread, never in
+/// a pool task: glibc serves each allocating thread from its own malloc
+/// arena and keeps memory freed there resident (DESIGN.md §6d).
+struct RadixScratch {
+  explicit RadixScratch(std::size_t n)
+      : keys(std::make_unique_for_overwrite<std::uint64_t[]>(2 * n)),
+        rows(std::make_unique_for_overwrite<std::uint32_t[]>(2 * n)),
+        counts(kDigits * kBuckets) {}
+
+  std::unique_ptr<std::uint64_t[]> keys;  ///< source and destination halves
+  std::unique_ptr<std::uint32_t[]> rows;  ///< row ids riding with the keys
+  std::vector<std::uint32_t> counts;      ///< one histogram per digit
+};
+
+/// Order-preserving key of a non-NaN double: keys ascend exactly as values
+/// do. -0.0 is folded into +0.0 first, so the two tie as they compare.
+std::uint64_t sort_key(double v) {
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  const auto bits = std::bit_cast<std::uint64_t>(v == 0.0 ? 0.0 : v);
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
+
 /// Writes numeric feature f's order over every row of `data` (see
 /// SharedOrder) into `out`, which holds num_rows() entries. Present rows
-/// sort as contiguous (value, row) pairs: pair's operator< is the
-/// (value, row id) order, and -0.0/+0.0 compare equal there exactly as in
-/// OrderCmp, so they tie-break by row id. Missing rows collect in ascending
-/// order at the front of `out`, then move to its tail.
+/// enter a stable LSD radix sort in ascending row id, so equal keys keep
+/// row-id order and the (value, row id) order needs no tie-break key. A
+/// digit that every key shares moves nothing, so its pass is skipped.
+/// Missing rows collect in ascending order at the front of `out`, then
+/// move to its tail.
 void presort_feature(const Dataset& data, std::size_t f,
-                     std::span<std::uint32_t> out) {
+                     std::span<std::uint32_t> out, RadixScratch& scratch) {
   const std::span<const double> x = data.column(f);
-  std::vector<std::pair<double, std::uint32_t>> present;
-  present.reserve(x.size());
+  const std::size_t n = x.size();
+  std::uint64_t* key = scratch.keys.get();
+  std::uint32_t* row = scratch.rows.get();
+  std::uint64_t* key_dst = key + n;
+  std::uint32_t* row_dst = row + n;
+  std::uint32_t* const counts = scratch.counts.data();
+  std::fill(scratch.counts.begin(), scratch.counts.end(), 0U);
+
+  std::size_t present = 0;
   std::size_t missing = 0;
-  for (std::size_t r = 0; r < x.size(); ++r) {
-    const auto row = static_cast<std::uint32_t>(r);
+  for (std::size_t r = 0; r < n; ++r) {
     if (std::isnan(x[r])) {
-      out[missing++] = row;
-    } else {
-      present.emplace_back(x[r], row);
+      out[missing++] = static_cast<std::uint32_t>(r);
+      continue;
+    }
+    const std::uint64_t k = sort_key(x[r]);
+    key[present] = k;
+    row[present++] = static_cast<std::uint32_t>(r);
+    for (unsigned d = 0; d < kDigits; ++d) {
+      ++counts[d * kBuckets + ((k >> (d * kDigitBits)) & (kBuckets - 1))];
     }
   }
-  std::sort(present.begin(), present.end());
+
+  for (unsigned d = 0; present > 0 && d < kDigits; ++d) {
+    const unsigned shift = d * kDigitBits;
+    std::uint32_t* const bucket = counts + d * kBuckets;
+    if (bucket[(key[0] >> shift) & (kBuckets - 1)] == present) continue;
+    std::uint32_t start = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      const std::uint32_t c = bucket[b];
+      bucket[b] = start;
+      start += c;
+    }
+    for (std::size_t i = 0; i < present; ++i) {
+      const std::uint32_t at = bucket[(key[i] >> shift) & (kBuckets - 1)]++;
+      key_dst[at] = key[i];
+      row_dst[at] = row[i];
+    }
+    std::swap(key, key_dst);
+    std::swap(row, row_dst);
+  }
+
   std::move_backward(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(missing),
                      out.end());
-  for (std::size_t i = 0; i < present.size(); ++i) out[i] = present[i].second;
+  std::copy(row, row + present, out.begin());
 }
 
 struct BestSplit {
@@ -173,13 +237,16 @@ class Builder {
       side_.assign(n, 0);
       for (const std::uint32_t r : rows_) side_[r] = 1;
       order_.resize(data_.num_features());
+      // Without a shared order, one scratch serves every feature's sort.
+      std::optional<RadixScratch> scratch;
+      if (shared_ == nullptr) scratch.emplace(n);
       for (std::size_t f = 0; f < data_.num_features(); ++f) {
         if (data_.info(f).categorical || !allowed(f)) continue;
         std::vector<std::uint32_t>& ord = order_[f];
         if (shared_ == nullptr) {
           // Sort, then filter in place: one full-size order alive at a time.
           ord.resize(n);
-          presort_feature(data_, f, ord);
+          presort_feature(data_, f, ord, *scratch);
           std::erase_if(ord, [this](std::uint32_t r) { return side_[r] == 0; });
           continue;
         }
@@ -243,10 +310,7 @@ class Builder {
   std::vector<std::uint32_t> left_buf_;
   std::vector<std::uint32_t> right_buf_;
   std::vector<std::uint32_t> miss_buf_;
-  std::vector<std::uint32_t> ord_left_present_;
-  std::vector<std::uint32_t> ord_left_missing_;
-  std::vector<std::uint32_t> ord_right_present_;
-  std::vector<std::uint32_t> ord_right_missing_;
+  std::vector<std::uint32_t> ord_right_;  ///< partition_order's right side
   std::vector<std::uint32_t> sort_buf_;  ///< kExhaustive per-node order
 
   [[nodiscard]] double w(std::uint32_t r) const {
@@ -487,38 +551,35 @@ class Builder {
 
     if (presort_) {
       for (std::size_t f = 0; f < order_.size(); ++f) {
-        if (!order_[f].empty()) partition_order(order_[f], begin, end, f);
+        if (!order_[f].empty()) partition_order(order_[f], begin, end);
       }
     }
     return {mid, missing_left};
   }
 
-  /// Stable four-way bucket pass: [left-present, left-missing] then
-  /// [right-present, right-missing], preserving relative order inside each
-  /// bucket — exactly the layout the root sort established.
+  /// Stable two-way pass by side_: left rows keep their order in place
+  /// (the write cursor never passes the read cursor), right rows collect in
+  /// ord_right_ and follow them. A segment lists its present rows before
+  /// its missing ones, so this yields [left-present, left-missing,
+  /// right-present, right-missing] — exactly the layout the root sort
+  /// established — without reading a feature value. Every row is written
+  /// to both sides and only the cursor of its own side advances.
   void partition_order(std::vector<std::uint32_t>& ord, std::size_t begin,
-                       std::size_t end, std::size_t f) {
-    ord_left_present_.clear();
-    ord_left_missing_.clear();
-    ord_right_present_.clear();
-    ord_right_missing_.clear();
+                       std::size_t end) {
+    if (ord_right_.size() < end - begin) ord_right_.resize(end - begin);
+    std::size_t left = begin;
+    std::size_t right = 0;
     for (std::size_t i = begin; i < end; ++i) {
       const std::uint32_t r = ord[i];
-      const bool miss = data_.x_missing(r, f);
-      if (side_[r] != 0) {
-        (miss ? ord_left_missing_ : ord_left_present_).push_back(r);
-      } else {
-        (miss ? ord_right_missing_ : ord_right_present_).push_back(r);
-      }
+      const std::size_t goes_left = side_[r];
+      ord[left] = r;
+      ord_right_[right] = r;
+      left += goes_left;
+      right += 1 - goes_left;
     }
-    std::size_t i = begin;
-    for (const auto* bucket : {&ord_left_present_, &ord_left_missing_,
-                               &ord_right_present_, &ord_right_missing_}) {
-      i = static_cast<std::size_t>(
-          std::copy(bucket->begin(), bucket->end(),
-                    ord.begin() + static_cast<std::ptrdiff_t>(i)) -
-          ord.begin());
-    }
+    std::copy(ord_right_.begin(),
+              ord_right_.begin() + static_cast<std::ptrdiff_t>(right),
+              ord.begin() + static_cast<std::ptrdiff_t>(left));
   }
 
   template <typename S>
@@ -603,13 +664,26 @@ SharedOrder::SharedOrder(const Dataset& data)
   for (std::size_t f = 0; f < data.num_features(); ++f) {
     offsets_[f + 1] = offsets_[f] + (data.info(f).categorical ? 0 : num_rows_);
   }
-  // One block, allocated here; the pool tasks only fill disjoint slices.
+  std::vector<std::size_t> numeric;
+  for (std::size_t f = 0; f < data.num_features(); ++f) {
+    if (!data.info(f).categorical) numeric.push_back(f);
+  }
+  // Every buffer is allocated here, on the calling thread: the order as one
+  // block, and one radix scratch per chunk. Chunk c sorts numeric features
+  // c, c + chunks, ... into disjoint slices of the block.
   rows_.resize(offsets_.back());
-  util::parallel_for(data.num_features(), 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t f = begin; f < end; ++f) {
-      if (data.info(f).categorical) continue;
-      presort_feature(data, f,
-                      std::span<std::uint32_t>(rows_).subspan(offsets_[f], num_rows_));
+  const std::size_t chunks = std::min(util::num_threads(), numeric.size());
+  std::vector<RadixScratch> scratch;
+  scratch.reserve(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) scratch.emplace_back(num_rows_);
+  util::parallel_for(chunks, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t c = begin; c < end; ++c) {
+      for (std::size_t i = c; i < numeric.size(); i += chunks) {
+        const std::size_t f = numeric[i];
+        presort_feature(data, f,
+                        std::span<std::uint32_t>(rows_).subspan(offsets_[f], num_rows_),
+                        scratch[c]);
+      }
     }
   });
 }

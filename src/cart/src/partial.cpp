@@ -136,6 +136,9 @@ std::vector<EffectLevel> residualized_effect(const table::Table& tbl,
   // decomposition as long as each level is observed under more than one
   // nuisance configuration.
   constexpr int kBackfitIterations = 3;
+  // Only the response changes between iterations, so every backfit tree
+  // reads one presorted order of the nuisance features.
+  const SharedOrder order(nuisance);
   const auto codes = dec_col.nominal_codes();
   std::vector<double> effect(dec_col.cardinality(), 1.0);
   std::vector<double> ratios(n, 1.0);
@@ -157,7 +160,7 @@ std::vector<EffectLevel> residualized_effect(const table::Table& tbl,
     }
     scratch.add_column("__deflated__", table::Column::continuous(deflated));
     const Dataset data(scratch, "__deflated__", other_features, Task::kRegression);
-    const Tree tree = grow(data, growth);
+    const Tree tree = grow(data, growth, {}, order);
     const std::vector<double> fitted = tree.predict(data);
 
     stats::Accumulator deflated_mean;

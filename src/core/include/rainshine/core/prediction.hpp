@@ -24,7 +24,9 @@ struct PredictionOptions {
   /// Sample every `day_stride`-th day per rack as an observation.
   std::int32_t day_stride = 7;
   /// Chronological split: the first fraction of days trains, the rest tests
-  /// (time-ordered, so the model never peeks at the future).
+  /// (time-ordered, so the model never peeks at the future). Rows whose
+  /// label window straddles the split day are embargoed: they join neither
+  /// side, so no train label reads a ticket from the test period.
   double train_fraction = 0.7;
   /// Majority:minority ratio after undersampling the training split
   /// (1.0 = fully balanced). The test split is never rebalanced.

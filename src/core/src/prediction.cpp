@@ -130,7 +130,13 @@ PredictionStudy predict_rack_failures(const FailureMetrics& metrics,
           break;
         }
       }
-      (day < split_day ? train_rows : test_rows).push_back(row);
+      // Embargo: a train row's label window [day, day + horizon) must end
+      // by the split, so rows whose window straddles it join neither side.
+      if (day + options.horizon_days <= split_day) {
+        train_rows.push_back(row);
+      } else if (day >= split_day) {
+        test_rows.push_back(row);
+      }
     }
   }
   util::require(!train_rows.empty() && !test_rows.empty(),

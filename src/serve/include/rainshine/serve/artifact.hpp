@@ -145,6 +145,10 @@ struct ModelArtifact {
 /// feature schema (always true for grow_forest output).
 void save_forest(const cart::Forest& forest, const ModelMetadata& meta,
                  std::ostream& out);
+/// save_forest to a file, written atomically: the artifact goes to
+/// `path + ".tmp"` and is renamed over `path`, so a save that fails leaves
+/// any previous artifact at `path` unchanged. Throws
+/// util::precondition_error on I/O failure.
 void save_forest_file(const cart::Forest& forest, const ModelMetadata& meta,
                       const std::string& path);
 

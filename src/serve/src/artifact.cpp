@@ -7,7 +7,9 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <sstream>
 
+#include "rainshine/obs/export.hpp"
 #include "rainshine/util/check.hpp"
 
 namespace rainshine::serve {
@@ -557,11 +559,11 @@ void save_forest_v1(const cart::Forest& forest, const ModelMetadata& meta,
 
 void save_forest_file(const cart::Forest& forest, const ModelMetadata& meta,
                       const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  util::require(out.good(), "cannot open artifact for writing: " + path);
+  // Serialize in memory, then replace `path` by temp file and rename: a
+  // failed or interrupted save leaves the previous artifact intact.
+  std::ostringstream out(std::ios::binary);
   save_forest(forest, meta, out);
-  out.close();
-  util::require(out.good(), "I/O error closing artifact: " + path);
+  obs::write_file(path, out.view());
 }
 
 ModelArtifact load_forest(std::istream& in) {

@@ -13,18 +13,24 @@
 //
 // The SharedPresort half pins the dataset-level order: a tree that filters
 // one SharedOrder must equal both the tree that presorts for itself and the
-// exhaustive reference, whatever the weights and feature subsets.
+// exhaustive reference, whatever the weights and feature subsets. The order
+// itself comes from a radix sort over bit-level keys, so its fixtures cover
+// the values whose bits are unusual: signed zeros, infinities, subnormals,
+// the extremes of double and NaNs with the sign bit set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <limits>
 #include <numeric>
 
 #include "rainshine/cart/forest.hpp"
+#include "rainshine/cart/partial.hpp"
 #include "rainshine/cart/prune.hpp"
 #include "rainshine/obs/metrics.hpp"
 #include "rainshine/util/check.hpp"
+#include "rainshine/util/parallel.hpp"
 #include "rainshine/util/rng.hpp"
 
 namespace rainshine::cart {
@@ -353,6 +359,113 @@ TEST(SharedPresort, FeatureOrderMatchesExhaustiveComparator) {
   }
 }
 
+/// Every feature of `order` equals the comparator-defined reference order.
+void expect_reference_orders(const Dataset& data, const SharedOrder& order) {
+  ASSERT_EQ(order.num_rows(), data.num_rows());
+  for (std::size_t f = 0; f < data.num_features(); ++f) {
+    if (data.info(f).categorical) continue;
+    const std::span<const std::uint32_t> got = order.feature(f);
+    EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+              reference_order(data, f))
+        << "feature " << f;
+  }
+}
+
+TEST(SharedPresort, RadixOrderOnExtremeBitPatterns) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  const double neg_nan = std::copysign(kNaN, -1.0);
+  const std::vector<double> pool = {
+      0.0,      -0.0,     kInf,     -kInf,    kSub,      -kSub,
+      4 * kSub, DBL_MIN,  -DBL_MIN, DBL_MAX,  -DBL_MAX,  1.0,
+      -1.0,     0.5,      -0.5,     kNaN,     neg_nan,   DBL_MIN / 2};
+  util::Rng rng(310);
+  std::vector<double> x(400);
+  std::vector<double> y(400);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = pool[static_cast<std::size_t>(rng.below(pool.size()))];
+    y[i] = rng.uniform();
+  }
+  // The sign bit must survive into the column for the fixture to test it.
+  ASSERT_TRUE(std::any_of(x.begin(), x.end(), [](double v) {
+    return std::isnan(v) && std::signbit(v);
+  }));
+  Table t;
+  t.add_column("x", Column::continuous(std::move(x)));
+  t.add_column("y", Column::continuous(std::move(y)));
+  const Dataset data(t, "y", {"x"}, Task::kRegression);
+  expect_reference_orders(data, SharedOrder(data));
+}
+
+TEST(SharedPresort, DegenerateColumnsAndSizes) {
+  util::Rng rng(311);
+  // A constant column, one with a single outlier (a digit pass that only
+  // one key needs must still run), an all-missing column and a column with
+  // a few distinct values over more than 2^16 rows.
+  const std::size_t n = 70'000;
+  std::vector<double> constant(n, 3.25);
+  std::vector<double> outlier(n, 3.25);
+  outlier[n / 2] = -7.5;
+  std::vector<double> missing(n, kNaN);
+  std::vector<double> few(n);
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    few[i] = 2010.0 + static_cast<double>(rng.below(7));
+    if (rng.uniform() < 0.01) few[i] = kNaN;
+    y[i] = rng.uniform();
+  }
+  Table t;
+  t.add_column("constant", Column::continuous(std::move(constant)));
+  t.add_column("outlier", Column::continuous(std::move(outlier)));
+  t.add_column("missing", Column::continuous(std::move(missing)));
+  t.add_column("few", Column::continuous(std::move(few)));
+  t.add_column("y", Column::continuous(std::move(y)));
+  const Dataset data(t, "y", {"constant", "outlier", "missing", "few"},
+                     Task::kRegression);
+  expect_reference_orders(data, SharedOrder(data));
+
+  Table one;
+  one.add_column("x", Column::continuous({-0.0}));
+  one.add_column("y", Column::continuous({1.0}));
+  const Dataset single(one, "y", {"x"}, Task::kRegression);
+  const SharedOrder single_order(single);
+  ASSERT_EQ(single_order.feature(0).size(), 1U);
+  EXPECT_EQ(single_order.feature(0)[0], 0U);
+}
+
+TEST(SharedPresort, SameOrderAtEveryThreadCount) {
+  util::Rng rng(312);
+  // Five numeric features (not a multiple of 2, 3 or 4) and a categorical.
+  Table wide = mixed_fixture(900, rng, 0.1);
+  std::vector<double> z(900);
+  std::vector<double> w(900);
+  std::vector<double> v(900);
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    z[i] = rng.uniform(-1.0, 1.0);
+    w[i] = static_cast<double>(rng.below(4)) - 1.5;
+    v[i] = rng.uniform() < 0.3 ? kNaN : rng.uniform(0.0, 1e-300);
+  }
+  wide.add_column("z", Column::continuous(std::move(z)));
+  wide.add_column("w", Column::continuous(std::move(w)));
+  wide.add_column("v", Column::continuous(std::move(v)));
+  const Dataset data(wide, "y", {"temp", "z", "sku", "age", "w", "v"},
+                     Task::kRegression);
+  util::set_num_threads(1);
+  const SharedOrder serial(data);
+  expect_reference_orders(data, serial);
+  for (const std::size_t threads : {2U, 3U, 4U}) {
+    util::set_num_threads(threads);
+    const SharedOrder parallel(data);
+    for (std::size_t f = 0; f < data.num_features(); ++f) {
+      const auto a = serial.feature(f);
+      const auto b = parallel.feature(f);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "feature " << f << " at " << threads << " threads";
+    }
+  }
+  util::clear_thread_override();
+}
+
 TEST(SharedPresort, SignedZeroAndHeavyTies) {
   util::Rng rng(302);
   const Table t = signed_zero_fixture(600, rng);
@@ -465,6 +578,61 @@ TEST(SharedPresort, RejectsMismatchedOrder) {
   EXPECT_THROW((void)grow(data, cfg, {}, SharedOrder(fewer_features)),
                util::precondition_error);
   EXPECT_NO_THROW((void)grow(data, cfg, {}, SharedOrder(data)));
+}
+
+// ---- Residualized effects over one backfit order -------------------------
+
+/// A positive rate whose level effect ("sku") is confounded with two numeric
+/// nuisance factors and a categorical one, with a few missing cells.
+Table confounded_rate_fixture(std::size_t n, util::Rng& rng) {
+  const char* skus[] = {"S1", "S2", "S3"};
+  const char* dcs[] = {"DC1", "DC2"};
+  std::vector<double> power(n);
+  std::vector<double> year(n);
+  std::vector<double> rate(n);
+  Column sku(table::ColumnType::kNominal);
+  Column dc(table::ColumnType::kNominal);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto s = static_cast<std::size_t>(rng.below(3));
+    const auto d = static_cast<std::size_t>(rng.below(2));
+    power[i] = 6.0 + 2.0 * static_cast<double>(s + rng.below(3));
+    year[i] = 2012.0 + static_cast<double>(rng.below(5));
+    rate[i] = (s == 1 ? 2.0 : 1.0) * (1.0 + 0.1 * power[i]) *
+              (d == 0 ? 1.3 : 0.8) * rng.uniform(0.5, 1.5);
+    if (rng.uniform() < 0.05) year[i] = kNaN;
+    sku.push_nominal(skus[s]);
+    dc.push_nominal(dcs[d]);
+  }
+  Table t;
+  t.add_column("power", Column::continuous(std::move(power)));
+  t.add_column("year", Column::continuous(std::move(year)));
+  t.add_column("dc", std::move(dc));
+  t.add_column("sku", std::move(sku));
+  t.add_column("rate", Column::continuous(std::move(rate)));
+  return t;
+}
+
+TEST(ResidualizedEffect, PresortEqualsExhaustiveOnBothScales) {
+  util::Rng rng(401);
+  const Table t = confounded_rate_fixture(3000, rng);
+  for (const EffectScale scale : {EffectScale::kAdditive, EffectScale::kMultiplicative}) {
+    Config presort;
+    presort.cp = 0.002;
+    Config exhaustive = presort;
+    exhaustive.engine = SplitEngine::kExhaustive;
+    const std::vector<EffectLevel> a =
+        residualized_effect(t, "rate", "sku", {"power", "year", "dc"}, presort, scale);
+    const std::vector<EffectLevel> b = residualized_effect(
+        t, "rate", "sku", {"power", "year", "dc"}, exhaustive, scale);
+    ASSERT_EQ(a.size(), 3U);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].label, b[i].label);
+      EXPECT_EQ(a[i].n, b[i].n);
+      EXPECT_EQ(a[i].mean, b[i].mean) << a[i].label;
+      EXPECT_EQ(a[i].stddev, b[i].stddev) << a[i].label;
+    }
+  }
 }
 
 }  // namespace

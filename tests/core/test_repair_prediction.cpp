@@ -122,6 +122,38 @@ TEST_F(AnalyticsTest, PredictionBeatsPrevalenceBaseline) {
   EXPECT_FALSE(study.factors.empty());
 }
 
+TEST_F(AnalyticsTest, PredictionTrainSplitIgnoresTestPeriodTickets) {
+  PredictionOptions opt;
+  opt.day_stride = 1;
+  opt.horizon_days = 14;
+  // The split day predict_rack_failures derives from these options.
+  const util::DayIndex first_day = opt.history_days;
+  const util::DayIndex last_day = fleet_.spec().num_days - opt.horizon_days;
+  const auto split_day = static_cast<util::DayIndex>(
+      first_day + opt.train_fraction * (last_day - first_day));
+
+  // A log identical before the split and empty from it on: every label the
+  // train split may read is unchanged, every test-period ticket is gone.
+  std::vector<simdc::Ticket> before;
+  for (const simdc::Ticket& t : log_.tickets()) {
+    if (t.open_day() < split_day) before.push_back(t);
+  }
+  ASSERT_LT(before.size(), log_.size());
+  const simdc::TicketLog truncated(std::move(before));
+  const FailureMetrics truncated_metrics(fleet_, truncated);
+
+  const PredictionStudy full = predict_rack_failures(metrics_, env_, opt);
+  const PredictionStudy cut = predict_rack_failures(truncated_metrics, env_, opt);
+  EXPECT_EQ(full.train_rows, cut.train_rows);
+  EXPECT_EQ(full.train.tp, cut.train.tp);
+  EXPECT_EQ(full.train.fp, cut.train.fp);
+  EXPECT_EQ(full.train.tn, cut.train.tn);
+  EXPECT_EQ(full.train.fn, cut.train.fn);
+  EXPECT_TRUE(full.tree == cut.tree);
+  // The test split does see the difference.
+  EXPECT_NE(full.test_positive_rate, cut.test_positive_rate);
+}
+
 TEST_F(AnalyticsTest, PredictionValidatesOptions) {
   PredictionOptions bad;
   bad.horizon_days = 0;

@@ -7,8 +7,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 
+#include "rainshine/util/check.hpp"
 #include "rainshine/util/parallel.hpp"
 #include "rainshine/util/rng.hpp"
 
@@ -157,6 +159,31 @@ TEST(Artifact, FileRoundTrip) {
   EXPECT_EQ(*back.forest, forest);
   EXPECT_EQ(back.meta.version, 2u);
   std::remove(path.c_str());
+}
+
+TEST(Artifact, FailedSaveKeepsPreviousArtifact) {
+  namespace fs = std::filesystem;
+  util::Rng rng(16);
+  const Table t = reference_table(200, rng);
+  const cart::Dataset data(t, "y", {"x", "dc", "age"}, cart::Task::kRegression);
+  const cart::Forest forest = fit_reference_forest(data);
+
+  const fs::path dir = fs::path(testing::TempDir()) / "rainshine_atomic_save";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "model.rsf").string();
+  save_forest_file(forest, {.name = "good", .version = 1}, path);
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+
+  // A directory squatting on the temp path makes the next save fail.
+  fs::create_directory(path + ".tmp");
+  EXPECT_THROW(save_forest_file(forest, {.name = "newer", .version = 2}, path),
+               util::precondition_error);
+  const ModelArtifact back = load_forest_file(path);
+  EXPECT_EQ(*back.forest, forest);
+  EXPECT_EQ(back.meta.name, "good");
+  EXPECT_EQ(back.meta.version, 1u);
+  fs::remove_all(dir);
 }
 
 TEST(Artifact, V2AdoptedFlatLayoutEqualsCompiled) {
