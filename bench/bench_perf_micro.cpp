@@ -14,6 +14,8 @@
 #include "rainshine/cart/forest.hpp"
 #include "rainshine/cart/prune.hpp"
 #include "rainshine/core/observations.hpp"
+#include "rainshine/predict/features.hpp"
+#include "rainshine/predict/model.hpp"
 #include "rainshine/serve/service.hpp"
 #include "rainshine/simdc/tickets.hpp"
 #include "rainshine/stats/bootstrap.hpp"
@@ -290,6 +292,39 @@ void BM_FitForest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FitForest)->Apply(thread_sweep)->Unit(benchmark::kMillisecond);
+
+/// The early-warning training set of bench_predict (360-day test fleet,
+/// seed 7, 5-day snapshot stride): 0/1 labels over three nominal and 18
+/// numeric features, every one of them few-valued enough to bin.
+const predict::FeatureSet& early_warning_set() {
+  static const predict::FeatureSet set = [] {
+    simdc::FleetSpec spec = simdc::FleetSpec::test_default();
+    spec.num_days = 360;
+    spec.seed = 7;
+    const simdc::Fleet fleet(spec);
+    const simdc::EnvironmentModel env(fleet, spec.seed);
+    const simdc::HazardModel hazard(fleet, env);
+    predict::FeatureConfig config;
+    config.warmup_days = 90;
+    config.snapshot_stride = 5;
+    config.horizon_days = 30;
+    return predict::build_features(fleet, env, hazard, config, {.seed = spec.seed});
+  }();
+  return set;
+}
+
+/// A 16-tree early-warning risk forest on the training rows before day 260:
+/// the 0/1 label and bootstrap counts put every tree on the histogram path.
+void BM_FitForestEarlyWarning(benchmark::State& state) {
+  const ThreadPin pin(state.range(0));
+  const predict::FeatureSet& set = early_warning_set();
+  const std::vector<std::size_t> train = predict::temporal_split(set, 260).train;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        predict::fit_risk_model(set, train, {.num_trees = 16, .seed = 11}));
+  }
+}
+BENCHMARK(BM_FitForestEarlyWarning)->Apply(thread_sweep)->Unit(benchmark::kMillisecond);
 
 void BM_Bootstrap(benchmark::State& state) {
   const ThreadPin pin(state.range(0));

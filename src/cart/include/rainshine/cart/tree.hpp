@@ -35,6 +35,9 @@ enum class SplitEngine : std::uint8_t {
   /// Sort each feature once per dataset (SharedOrder), filter that order
   /// per tree down to its rows with weight > 0, then thread the orders down
   /// the recursion by stable partitioning (O(d·n) per level). The default.
+  /// When a tree's response and weights are integers, features with few
+  /// distinct values are searched from per-node histograms instead (BinCodes),
+  /// with the same result.
   kPresort,
   /// Re-sort the node's rows per feature at every node (O(d·n log n) per
   /// level) — the seed implementation, kept as the golden reference.
@@ -164,6 +167,32 @@ class Tree {
 [[nodiscard]] Tree grow(const Dataset& data, const Config& config,
                         std::span<const double> row_weights);
 
+/// Dense-rank bin codes of the numeric/ordinal features with few distinct
+/// values: the input of the presort engine's histogram split search (see
+/// grow.cpp). A feature is binned when its distinct present values number
+/// at most min(65535, rows / 16); -0.0 and +0.0 share one bin.
+struct BinCodes {
+  /// Codes per row: one column per numeric feature ranked, binned or not,
+  /// so that a row's codes sit together.
+  std::size_t stride = 0;
+  /// Row r's code for binned feature j sits at r * stride + columns[j]: the
+  /// rank of its value among the feature's distinct values, or the
+  /// feature's bin count when the value is missing. Empty when no feature
+  /// is binned.
+  std::vector<std::uint16_t> codes;
+  /// Dataset feature index of each binned feature, ascending.
+  std::vector<std::size_t> features;
+  std::vector<std::size_t> columns;
+  /// Binned feature j's bin values, ascending (a zero bin holds +0.0), are
+  /// values[offsets[j], offsets[j + 1]).
+  std::vector<std::size_t> offsets{0};
+  std::vector<double> values;
+
+  [[nodiscard]] std::size_t bins(std::size_t j) const noexcept {
+    return offsets[j + 1] - offsets[j];
+  }
+};
+
 /// The presort engine's dataset-level row order. For each numeric/ordinal
 /// feature f, `feature(f)` lists every row of the dataset ascending by
 /// (value, row id), with missing rows in an ascending row-id tail;
@@ -175,12 +204,16 @@ class Tree {
 ///
 /// An order depends only on the feature columns and the row count, never on
 /// the response: it stays valid for any Dataset with the same feature
-/// columns, such as a refit on a transformed response.
+/// columns, such as a refit on a transformed response. Built from a dataset
+/// with an integer regression response, it also holds the features' bin
+/// codes, read off the same sort, which trees with integer responses and
+/// weights search by histogram; without them those trees sweep.
 class SharedOrder {
  public:
   /// Radix-sorts every numeric/ordinal feature of `data`, one chunk of
   /// features per pool task, each chunk with scratch allocated up front on
-  /// the calling thread.
+  /// the calling thread, and bins the features of a dataset with an integer
+  /// regression response.
   explicit SharedOrder(const Dataset& data);
 
   [[nodiscard]] std::size_t num_rows() const noexcept { return num_rows_; }
@@ -191,11 +224,15 @@ class SharedOrder {
     return std::span<const std::uint32_t>(rows_).subspan(
         offsets_[f], offsets_[f + 1] - offsets_[f]);
   }
+  /// Empty (no features) unless the dataset has an integer regression
+  /// response.
+  [[nodiscard]] const BinCodes& bins() const noexcept { return bins_; }
 
  private:
   std::size_t num_rows_;
   std::vector<std::size_t> offsets_;  ///< feature f is [offsets_[f], offsets_[f + 1])
   std::vector<std::uint32_t> rows_;   ///< every feature's order, one block
+  BinCodes bins_;
 };
 
 /// Weighted growth over a shared order (see SharedOrder). `order` must have

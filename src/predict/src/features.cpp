@@ -1,7 +1,10 @@
 #include "rainshine/predict/features.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "rainshine/obs/metrics.hpp"
 #include "rainshine/util/check.hpp"
@@ -302,48 +305,69 @@ FeatureSet FeatureBuilder::finish() {
   const std::string s1 = day_suffix(config_.windows_days[1]);
   const std::string s2 = day_suffix(config_.windows_days[2]);
 
-  table::TableBuilder builder;
-  builder.add_nominal("dc").add_nominal("sku").add_nominal("workload");
-  builder.add_continuous("age_months").add_continuous("power_kw");
-  for (const auto& name :
-       {"srv_all_" + s0, "srv_all_" + s1, "srv_all_" + s2, "srv_hw_" + s1,
-        "rack_hw_" + s0, "rack_hw_" + s1, "rack_hw_" + s2, "rack_all_" + s1,
-        "rack_disk_" + s1, "rack_mem_" + s1, "hot_hours_" + s0,
-        "hot_hours_" + s1, "hot_hours_" + s2, "dry_hours_" + s1,
-        "temp_mean_" + s1, "rh_mean_" + s1})
-    builder.add_continuous(name);
-  builder.add_continuous(kResponse);
-
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
+  // Column by column (a row-wise TableBuilder looked up every cell by name):
+  // one pass over the rows fills the typed columns and the nominal ids.
+  const std::size_t n = rows_.size();
+  const std::pair<std::string, double RawRow::*> numeric[] = {
+      {"age_months", &RawRow::age_months},     {"power_kw", &RawRow::power_kw},
+      {"srv_all_" + s0, &RawRow::srv_all_w0},  {"srv_all_" + s1, &RawRow::srv_all_w1},
+      {"srv_all_" + s2, &RawRow::srv_all_w2},  {"srv_hw_" + s1, &RawRow::srv_hw_w1},
+      {"rack_hw_" + s0, &RawRow::rack_hw_w0},  {"rack_hw_" + s1, &RawRow::rack_hw_w1},
+      {"rack_hw_" + s2, &RawRow::rack_hw_w2},  {"rack_all_" + s1, &RawRow::rack_all_w1},
+      {"rack_disk_" + s1, &RawRow::rack_disk_w1}, {"rack_mem_" + s1, &RawRow::rack_mem_w1},
+      {"hot_hours_" + s0, &RawRow::hot_hours_w0}, {"hot_hours_" + s1, &RawRow::hot_hours_w1},
+      {"hot_hours_" + s2, &RawRow::hot_hours_w2}, {"dry_hours_" + s1, &RawRow::dry_hours_w1},
+      {"temp_mean_" + s1, &RawRow::temp_mean_w1}, {"rh_mean_" + s1, &RawRow::rh_mean_w1},
+  };
+  std::vector<std::vector<double>> values(std::size(numeric), std::vector<double>(n));
+  std::vector<std::uint8_t> dc(n);
+  std::vector<std::uint8_t> sku(n);
+  std::vector<std::uint8_t> workload(n);
+  std::vector<double> label(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const RawRow& r = rows_[i];
-    builder.begin_row();
-    builder.set("dc", simdc::to_string(static_cast<simdc::DataCenterId>(r.dc)));
-    builder.set("sku", simdc::to_string(static_cast<simdc::SkuId>(r.sku)));
-    builder.set("workload",
-                simdc::to_string(static_cast<simdc::WorkloadId>(r.workload)));
-    builder.set("age_months", r.age_months);
-    builder.set("power_kw", r.power_kw);
-    builder.set("srv_all_" + s0, r.srv_all_w0);
-    builder.set("srv_all_" + s1, r.srv_all_w1);
-    builder.set("srv_all_" + s2, r.srv_all_w2);
-    builder.set("srv_hw_" + s1, r.srv_hw_w1);
-    builder.set("rack_hw_" + s0, r.rack_hw_w0);
-    builder.set("rack_hw_" + s1, r.rack_hw_w1);
-    builder.set("rack_hw_" + s2, r.rack_hw_w2);
-    builder.set("rack_all_" + s1, r.rack_all_w1);
-    builder.set("rack_disk_" + s1, r.rack_disk_w1);
-    builder.set("rack_mem_" + s1, r.rack_mem_w1);
-    builder.set("hot_hours_" + s0, r.hot_hours_w0);
-    builder.set("hot_hours_" + s1, r.hot_hours_w1);
-    builder.set("hot_hours_" + s2, r.hot_hours_w2);
-    builder.set("dry_hours_" + s1, r.dry_hours_w1);
-    builder.set("temp_mean_" + s1, r.temp_mean_w1);
-    builder.set("rh_mean_" + s1, r.rh_mean_w1);
-    builder.set(kResponse, static_cast<double>(meta_[i].label));
+    dc[i] = r.dc;
+    sku[i] = r.sku;
+    workload[i] = r.workload;
+    for (std::size_t c = 0; c < values.size(); ++c) values[c][i] = r.*numeric[c].second;
+    label[i] = static_cast<double>(meta_[i].label);
   }
+  // A nominal column's dictionary follows first-seen row order, as
+  // Column::push_nominal builds it.
+  const auto nominal = [](std::span<const std::uint8_t> ids, auto label_of) {
+    std::array<std::int32_t, 256> code_of;
+    code_of.fill(table::kMissingCode);
+    std::vector<std::int32_t> codes(ids.size());
+    std::vector<std::string> dictionary;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (code_of[ids[i]] == table::kMissingCode) {
+        const std::string_view name = label_of(ids[i]);
+        const auto it = std::find(dictionary.begin(), dictionary.end(), name);
+        code_of[ids[i]] = static_cast<std::int32_t>(it - dictionary.begin());
+        if (it == dictionary.end()) dictionary.emplace_back(name);
+      }
+      codes[i] = code_of[ids[i]];
+    }
+    return table::Column::nominal(std::move(codes), std::move(dictionary));
+  };
+
+  table::Table table;
+  table.add_column("dc", nominal(dc, [](std::uint8_t v) {
+    return simdc::to_string(static_cast<simdc::DataCenterId>(v));
+  }));
+  table.add_column("sku", nominal(sku, [](std::uint8_t v) {
+    return simdc::to_string(static_cast<simdc::SkuId>(v));
+  }));
+  table.add_column("workload", nominal(workload, [](std::uint8_t v) {
+    return simdc::to_string(static_cast<simdc::WorkloadId>(v));
+  }));
+  for (std::size_t c = 0; c < values.size(); ++c) {
+    table.add_column(numeric[c].first, table::Column::continuous(std::move(values[c])));
+  }
+  table.add_column(kResponse, table::Column::continuous(std::move(label)));
 
   FeatureSet set;
-  set.table = builder.finish();
+  set.table = std::move(table);
   set.meta = std::move(meta_);
   set.config = config_;
   set.num_days = fleet_->spec().num_days;

@@ -635,5 +635,308 @@ TEST(ResidualizedEffect, PresortEqualsExhaustiveOnBothScales) {
   }
 }
 
+// ---- Histogram split search for integer responses ------------------------
+
+/// Features searched by histogram so far, over every tree in the process.
+std::uint64_t histogram_features() {
+  return obs::registry().counter("cart.histogram_features").value();
+}
+
+/// An integer count response over features on both sides of the bin cutoff,
+/// with heavy ties, signed zeros and optional missing cells:
+///   * "level": 7 values including -0.0 and +0.0, so 6 bins;
+///   * "code": n / 20 values, so deep nodes hold fewer rows than it has
+///     bins and sort their own codes;
+///   * "reading": every value distinct, past the cutoff (stays on the sweep);
+///   * "sku": categorical.
+Table count_fixture(std::size_t n, util::Rng& rng, double missing_rate = 0.0) {
+  const char* skus[] = {"sku_a", "sku_b", "sku_c"};
+  const double levels[] = {-1.5, -0.0, 0.0, 0.5, 1.0, 2.5, 4.0};
+  std::vector<double> level(n);
+  std::vector<double> code(n);
+  std::vector<double> reading(n);
+  std::vector<double> y(n);
+  Column sku(table::ColumnType::kNominal);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto s = static_cast<std::size_t>(rng.below(3));
+    level[i] = levels[rng.below(7)];
+    code[i] = static_cast<double>(rng.below(n / 20));
+    reading[i] = rng.uniform(-3.0, 3.0);
+    const double rate = 0.5 + level[i] * level[i] + (s == 1 ? 2.0 : 0.0) +
+                        0.02 * code[i] + std::abs(reading[i]);
+    y[i] = std::floor(rng.uniform(0.0, 2.0 * rate));
+    if (missing_rate > 0.0 && rng.uniform() < missing_rate) level[i] = kNaN;
+    if (missing_rate > 0.0 && rng.uniform() < missing_rate) code[i] = kNaN;
+    if (missing_rate > 0.0 && rng.uniform() < missing_rate) reading[i] = kNaN;
+    sku.push_nominal(skus[s]);
+  }
+  Table t;
+  t.add_column("level", Column::continuous(std::move(level)));
+  t.add_column("code", Column::continuous(std::move(code)));
+  t.add_column("reading", Column::continuous(std::move(reading)));
+  t.add_column("sku", std::move(sku));
+  t.add_column("y", Column::continuous(std::move(y)));
+  return t;
+}
+
+const std::vector<std::string> kCountFeatures = {"level", "code", "reading", "sku"};
+
+TEST(HistogramSearch, SharedOrderBinsOnlyFewValuedFeatures) {
+  util::Rng rng(501);
+  const Table t = count_fixture(2000, rng, 0.1);
+  const Dataset data(t, "y", kCountFeatures, Task::kRegression);
+  const SharedOrder order(data);
+  const BinCodes& bins = order.bins();
+  // "reading" is ranked too, past the cutoff: its column stays unused.
+  ASSERT_EQ(bins.stride, 3U);
+  EXPECT_EQ(bins.features, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(bins.columns, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(bins.bins(0), 6U);  // -0.0 and +0.0 share a bin
+  EXPECT_EQ(bins.bins(1), 100U);
+  ASSERT_EQ(bins.codes.size(), data.num_rows() * bins.stride);
+  for (std::size_t j = 0; j < bins.features.size(); ++j) {
+    const double* values = bins.values.data() + bins.offsets[j];
+    EXPECT_TRUE(std::is_sorted(values, values + bins.bins(j)));
+    for (std::size_t r = 0; r < data.num_rows(); ++r) {
+      const std::size_t code = bins.codes[r * bins.stride + bins.columns[j]];
+      const double x = data.x(r, bins.features[j]);
+      if (std::isnan(x)) {
+        EXPECT_EQ(code, bins.bins(j));
+      } else {
+        ASSERT_LT(code, bins.bins(j));
+        EXPECT_EQ(values[code], x);
+      }
+    }
+  }
+  // Classification and fractional responses never search by histogram, so
+  // their orders hold no codes.
+  const Dataset labels(t, "sku", {"level", "code"}, Task::kClassification);
+  EXPECT_TRUE(SharedOrder(labels).bins().codes.empty());
+  const Dataset fractional(t, "reading", {"level", "code"}, Task::kRegression,
+                           MissingResponse::kDropRows);
+  EXPECT_TRUE(SharedOrder(fractional).bins().codes.empty());
+}
+
+TEST(HistogramSearch, CountResponseMatchesExhaustive) {
+  util::Rng rng(502);
+  for (const double missing : {0.0, 0.12}) {
+    const Table t = count_fixture(2000, rng, missing);
+    const Dataset data(t, "y", kCountFeatures, Task::kRegression);
+    // Leaf floors on both sides of the bins' row counts.
+    for (const std::size_t leaf : {1U, 2U, 7U, 40U, 333U}) {
+      Config cfg = deep_config(SplitEngine::kPresort);
+      cfg.min_samples_leaf = leaf;
+      cfg.min_samples_split = 2 * leaf;
+      const std::uint64_t before = histogram_features();
+      expect_engines_agree(data, cfg);
+      EXPECT_EQ(histogram_features() - before, 2U) << "leaf " << leaf;
+    }
+  }
+}
+
+TEST(HistogramSearch, BootstrapWeightsOverASharedOrder) {
+  util::Rng rng(503);
+  const Table t = count_fixture(3000, rng, 0.08);
+  const Dataset data(t, "y", kCountFeatures, Task::kRegression);
+  const SharedOrder order(data);
+  for (const std::uint64_t seed : {1U, 2U, 3U}) {
+    const std::vector<double> weights = bag_weights(data.num_rows(), seed);
+    const std::uint64_t before = histogram_features();
+    expect_shared_matches(data, deep_config(SplitEngine::kPresort), weights, order);
+    // The shared tree and the self-presorting tree both bin "level" and "code".
+    EXPECT_EQ(histogram_features() - before, 4U);
+  }
+  Config subset = deep_config(SplitEngine::kPresort);
+  subset.allowed_features = {0, 1, 0, 1};
+  const std::uint64_t before = histogram_features();
+  expect_shared_matches(data, subset, bag_weights(data.num_rows(), 4), order);
+  EXPECT_EQ(histogram_features() - before, 2U);
+}
+
+TEST(HistogramSearch, NonIntegerResponseOrWeightKeepsTheSweep) {
+  util::Rng rng(504);
+  Table t = count_fixture(1500, rng, 0.05);
+  const Dataset counts(t, "y", kCountFeatures, Task::kRegression);
+  std::vector<double> shifted(counts.responses().begin(), counts.responses().end());
+  std::vector<double> huge = shifted;
+  for (double& y : shifted) y += 0.5;
+  huge[7] = 134217728.0;  // 2^27: w·y² reaches 2^54
+  t.add_column("shifted", Column::continuous(std::move(shifted)));
+  t.add_column("huge", Column::continuous(std::move(huge)));
+  const Config cfg = deep_config(SplitEngine::kPresort);
+
+  std::uint64_t before = histogram_features();
+  expect_engines_agree(Dataset(t, "shifted", kCountFeatures, Task::kRegression), cfg);
+  expect_engines_agree(Dataset(t, "huge", kCountFeatures, Task::kRegression), cfg);
+  EXPECT_EQ(histogram_features(), before);
+
+  std::vector<double> weights = bag_weights(counts.num_rows(), 5);
+  const SharedOrder order(counts);
+  before = histogram_features();
+  expect_shared_matches(counts, cfg, weights, order);
+  EXPECT_GT(histogram_features(), before);
+  weights[11] = 0.5;
+  before = histogram_features();
+  expect_shared_matches(counts, cfg, weights, order);
+  EXPECT_EQ(histogram_features(), before);
+}
+
+/// Shaped like the early-warning feature set: three nominal columns, ticket
+/// counts with a few values, hour totals with a few hundred, an age with
+/// more values than deep nodes have rows, and two 30-day means with more
+/// distinct values than the bin cutoff; a 0/1 label.
+Table early_warning_fixture(std::size_t n, util::Rng& rng) {
+  const char* dcs[] = {"DC1", "DC2", "DC3"};
+  const char* skus[] = {"S1", "S2", "S3", "S4"};
+  const char* workloads[] = {"W1", "W2"};
+  Column dc(table::ColumnType::kNominal);
+  Column sku(table::ColumnType::kNominal);
+  Column workload(table::ColumnType::kNominal);
+  std::vector<std::vector<double>> counts(6, std::vector<double>(n));
+  std::vector<double> hot(n);
+  std::vector<double> age(n);
+  std::vector<double> temp(n);
+  std::vector<double> rh(n);
+  std::vector<double> label(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto s = static_cast<std::size_t>(rng.below(4));
+    dc.push_nominal(dcs[rng.below(3)]);
+    sku.push_nominal(skus[s]);
+    workload.push_nominal(workloads[rng.below(2)]);
+    double risk = s == 3 ? 0.15 : 0.03;
+    for (std::size_t c = 0; c < counts.size(); ++c) {
+      counts[c][i] = static_cast<double>(rng.below(2 + 3 * c));
+      risk += 0.01 * counts[c][i];
+    }
+    hot[i] = rng.uniform() < 0.6 ? 0.0 : static_cast<double>(rng.below(300));
+    age[i] = rng.uniform() < 0.02 ? kNaN : static_cast<double>(rng.below(360));
+    temp[i] = std::round(rng.uniform(15.0, 35.0) * 100.0) / 100.0;
+    rh[i] = rng.uniform() < 0.02 ? kNaN : std::round(rng.uniform(10.0, 90.0) * 100.0) / 100.0;
+    risk += hot[i] / 2000.0 + (temp[i] > 30.0 ? 0.05 : 0.0);
+    label[i] = rng.uniform() < risk ? 1.0 : 0.0;
+  }
+  Table t;
+  t.add_column("dc", std::move(dc));
+  t.add_column("sku", std::move(sku));
+  t.add_column("workload", std::move(workload));
+  for (std::size_t c = 0; c < counts.size(); ++c) {
+    t.add_column("count_" + std::to_string(c), Column::continuous(std::move(counts[c])));
+  }
+  t.add_column("hot_hours", Column::continuous(std::move(hot)));
+  t.add_column("age_months", Column::continuous(std::move(age)));
+  t.add_column("temp_mean", Column::continuous(std::move(temp)));
+  t.add_column("rh_mean", Column::continuous(std::move(rh)));
+  t.add_column("label", Column::continuous(std::move(label)));
+  return t;
+}
+
+TEST(HistogramSearch, EarlyWarningForestsAcrossThreadCounts) {
+  util::Rng rng(505);
+  const Table t = early_warning_fixture(6000, rng);
+  std::vector<std::string> features = t.column_names();
+  features.pop_back();  // the label
+  const Dataset data(t, "label", features, Task::kRegression);
+  ForestConfig presort;
+  presort.num_trees = 6;
+  presort.seed = 17;
+  ForestConfig exhaustive = presort;
+  exhaustive.tree.engine = SplitEngine::kExhaustive;
+  util::set_num_threads(1);
+  const Forest reference = grow_forest(data, exhaustive);
+  for (const std::size_t threads : {1U, 2U, 4U}) {
+    util::set_num_threads(threads);
+    const std::uint64_t before = histogram_features();
+    const Forest forest = grow_forest(data, presort);
+    // Counts and hours are binned; the two means, past the cutoff, are not.
+    EXPECT_EQ(histogram_features() - before, presort.num_trees * 8U);
+    EXPECT_TRUE(forest == reference) << threads << " threads";
+  }
+  util::clear_thread_override();
+}
+
+// ---- Cut placement between adjacent and extreme values --------------------
+
+/// 20 rows at `lo` then 20 at `hi`, interleaved, with response `y_lo` or
+/// `y_hi`: the only split worth making separates the two values.
+Table two_value_fixture(double lo, double hi, double y_lo, double y_hi) {
+  std::vector<double> x;
+  std::vector<double> y;
+  for (std::size_t i = 0; i < 40; ++i) {
+    x.push_back(i % 2 == 0 ? lo : hi);
+    y.push_back(i % 2 == 0 ? y_lo : y_hi);
+  }
+  Table t;
+  t.add_column("x", Column::continuous(std::move(x)));
+  t.add_column("y", Column::continuous(std::move(y)));
+  return t;
+}
+
+TEST(CutPlacement, AdjacentAndExtremeValuesSplitCleanly) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> pairs[] = {
+      {std::nextafter(0.3, 0.0), 0.3},
+      {1.0, std::nextafter(1.0, 2.0)},
+      {-kInf, -DBL_MAX},
+  };
+  for (const auto& [lo, hi] : pairs) {
+    // A 0/1 response takes the histogram path, a fractional one the sweep.
+    for (const double y_lo : {0.0, 0.25}) {
+      const Table t = two_value_fixture(lo, hi, y_lo, y_lo + 1.0);
+      const Dataset data(t, "y", {"x"}, Task::kRegression);
+      const std::uint64_t before = histogram_features();
+      Tree tree = grow(data, Config{});
+      EXPECT_EQ(histogram_features() - before, y_lo == 0.0 ? 1U : 0U);
+      ASSERT_EQ(tree.nodes().size(), 3U) << lo << " " << hi;
+      const Node& root = tree.nodes()[0];
+      EXPECT_LT(lo, root.threshold);
+      EXPECT_LE(root.threshold, hi);
+      EXPECT_EQ(tree.nodes()[1].n, 20U);
+      EXPECT_EQ(tree.nodes()[2].n, 20U);
+      Config exhaustive;
+      exhaustive.engine = SplitEngine::kExhaustive;
+      EXPECT_TRUE(tree == grow(data, exhaustive));
+      EXPECT_TRUE(tree == grow(data, Config{}, {}, SharedOrder(data)));
+    }
+  }
+}
+
+TEST(CutPlacement, SeededAdjacentAndExtremeColumns) {
+  // Runs of adjacent doubles around 1.0, 0.3 and the extremes, with signed
+  // zeros and infinities: every cut lands between neighbours.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> pool = {-kInf, -DBL_MAX, std::nextafter(-DBL_MAX, 0.0), -0.0, 0.0,
+                              DBL_MIN, DBL_MAX, kInf};
+  for (const double base : {1.0, 0.3}) {
+    double v = base;
+    for (int k = 0; k < 4; ++k) {
+      pool.push_back(v);
+      v = std::nextafter(v, 2.0);
+    }
+  }
+  util::Rng rng(601);
+  std::vector<double> x(600);
+  std::vector<double> y(600);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const auto k = static_cast<std::size_t>(rng.below(pool.size()));
+    x[i] = pool[k];
+    y[i] = static_cast<double>((k * 7) % 5) + static_cast<double>(rng.below(2));
+  }
+  Table t;
+  t.add_column("x", Column::continuous(std::move(x)));
+  std::vector<double> fractional = y;
+  for (double& f : fractional) f *= 0.3;
+  t.add_column("y", Column::continuous(std::move(y)));
+  t.add_column("f", Column::continuous(std::move(fractional)));
+  Config cfg = deep_config(SplitEngine::kPresort);
+  cfg.min_samples_leaf = 1;
+  cfg.min_samples_split = 2;
+  for (const char* response : {"y", "f"}) {
+    const Dataset data(t, response, {"x"}, Task::kRegression);
+    expect_engines_agree(data, cfg);
+    const Tree tree = grow(data, cfg);
+    EXPECT_GT(tree.num_leaves(), pool.size() / 2) << response;
+  }
+}
+
 }  // namespace
 }  // namespace rainshine::cart

@@ -10,11 +10,16 @@
 //     feature-side, of the snapshot at s (the leakage boundary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <vector>
 
+#include "rainshine/obs/metrics.hpp"
 #include "rainshine/predict/features.hpp"
+#include "rainshine/predict/model.hpp"
 #include "rainshine/table/csv.hpp"
 #include "rainshine/util/check.hpp"
 #include "rainshine/util/parallel.hpp"
@@ -246,6 +251,76 @@ TEST_F(FeatureTest, FeaturesAndLabelsMatchBruteForceFromTheBatchLog) {
   // The planted hazard produces both classes on the test window.
   EXPECT_GT(positives, 0U);
   EXPECT_LT(positives, set.meta.size());
+}
+
+/// The table finish() used to build: one TableBuilder row per snapshot row,
+/// every cell set by column name. Nominal labels come from the fleet (the
+/// row's rack), numeric cells from `set`.
+table::Table row_built_reference(const FeatureSet& set, const simdc::Fleet& fleet) {
+  const std::vector<std::string>& names = FeatureBuilder::feature_names();
+  table::TableBuilder builder;
+  builder.add_nominal("dc").add_nominal("sku").add_nominal("workload");
+  for (std::size_t c = 3; c < names.size(); ++c) builder.add_continuous(names[c]);
+  builder.add_continuous(FeatureBuilder::kResponse);
+  for (std::size_t i = 0; i < set.meta.size(); ++i) {
+    const simdc::Rack& rack = fleet.rack(set.meta[i].rack_id);
+    builder.begin_row();
+    builder.set("dc", simdc::to_string(rack.dc));
+    builder.set("sku", simdc::to_string(rack.sku));
+    builder.set("workload", simdc::to_string(rack.workload));
+    for (std::size_t c = 3; c < names.size(); ++c) {
+      builder.set(names[c], set.table.column(names[c]).as_double(i));
+    }
+    builder.set(FeatureBuilder::kResponse, static_cast<double>(set.meta[i].label));
+  }
+  return builder.finish();
+}
+
+TEST_F(FeatureTest, ColumnBuiltTableMatchesRowBuiltReference) {
+  const FeatureSet set =
+      build_features(fleet_, env_, hazard_, test_config(), {.seed = spec_.seed});
+  const table::Table want = row_built_reference(set, fleet_);
+  ASSERT_EQ(set.table.column_names(), want.column_names());
+  ASSERT_EQ(set.table.num_rows(), want.num_rows());
+  for (const std::string& name : want.column_names()) {
+    const table::Column& got = set.table.column(name);
+    const table::Column& ref = want.column(name);
+    ASSERT_EQ(got.type(), ref.type()) << name;
+    if (ref.type() == table::ColumnType::kNominal) {
+      EXPECT_EQ(got.dictionary(), ref.dictionary()) << name;
+      EXPECT_TRUE(std::ranges::equal(got.nominal_codes(), ref.nominal_codes())) << name;
+      continue;
+    }
+    EXPECT_TRUE(std::ranges::equal(got.continuous_values(), ref.continuous_values(),
+                                   [](double a, double b) {
+                                     return std::bit_cast<std::uint64_t>(a) ==
+                                            std::bit_cast<std::uint64_t>(b);
+                                   }))
+        << name;
+  }
+}
+
+TEST_F(FeatureTest, RiskForestSearchesByHistogramAtEveryThreadCount) {
+  // The 0/1 label and bootstrap counts make every split statistic an exact
+  // integer, so the presort engine bins the features and must still grow
+  // the exhaustive reference's forest.
+  const FeatureSet set =
+      build_features(fleet_, env_, hazard_, test_config(), {.seed = spec_.seed});
+  std::vector<std::size_t> rows(set.meta.size());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  cart::ForestConfig presort{.num_trees = 6, .seed = 11};
+  cart::ForestConfig exhaustive = presort;
+  exhaustive.tree.engine = cart::SplitEngine::kExhaustive;
+  util::set_num_threads(1);
+  const cart::Forest reference = fit_risk_model(set, rows, exhaustive).forest;
+  obs::Counter& binned = obs::registry().counter("cart.histogram_features");
+  for (const std::size_t threads : {1UL, 2UL, 4UL}) {
+    util::set_num_threads(threads);
+    const std::uint64_t before = binned.value();
+    const cart::Forest forest = fit_risk_model(set, rows, presort).forest;
+    EXPECT_GT(binned.value(), before) << threads << " threads";
+    EXPECT_TRUE(forest == reference) << threads << " threads";
+  }
 }
 
 TEST_F(FeatureTest, ByteIdenticalAcrossThreadCounts) {
