@@ -412,14 +412,11 @@ const cart::Forest& numeric_forest() {
 }
 
 void BM_PredictBatch(benchmark::State& state) {
-  // Library-level kernel comparison, no service in the way: 2048 rows
-  // straight through Forest::predict with each scorer.
-  //   0 = flat, 1 = walker on the serve forest (categorical-heavy);
-  //   2 = flat, 3 = walker on the all-numeric forest (fast path).
-  const bool numeric = state.range(0) >= 2;
-  const cart::Forest& forest = numeric ? numeric_forest() : serve_forest();
-  const auto scorer = state.range(0) % 2 == 0 ? cart::Scorer::kFlat
-                                              : cart::Scorer::kWalker;
+  // Library-level kernel cost, no service in the way: 2048 rows straight
+  // through Forest::predict.
+  //   0 = the serve forest (categorical-heavy);
+  //   1 = the all-numeric forest (fast path).
+  const cart::Forest& forest = state.range(0) == 1 ? numeric_forest() : serve_forest();
   const auto& b = bundle();
   core::ObservationOptions opt;
   opt.day_stride = 2;
@@ -432,11 +429,11 @@ void BM_PredictBatch(benchmark::State& state) {
   const cart::Dataset data =
       serve::make_scoring_dataset(rows, forest.trees().front().features());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(forest.predict(data, scorer));
+    benchmark::DoNotOptimize(forest.predict(data));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2048);
 }
-BENCHMARK(BM_PredictBatch)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PredictBatch)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // Classification sibling: the single-row path tallies per-class votes,
 // which used to allocate a fresh vector per call (now thread_local scratch

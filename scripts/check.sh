@@ -97,19 +97,20 @@ if [[ "$serve_smoke" == 1 ]]; then
   fi
   echo "serve smoke: scored $scored/$rows rows"
 
-  # Both inference engines must produce byte-identical output end-to-end
-  # (the flat compiled layout is the default; the pointer walker is the
-  # golden reference it is held to).
-  ./build/tools/rainshine_score --model "$workdir/demo.rsf" --scorer flat \
-    --input "$workdir/rows.csv" --output "$workdir/scored_flat.csv"
-  ./build/tools/rainshine_score --model "$workdir/demo.rsf" --scorer walker \
-    --input "$workdir/rows.csv" --output "$workdir/scored_walker.csv"
-  if ! cmp -s "$workdir/scored_flat.csv" "$workdir/scored_walker.csv"; then
-    echo "serve smoke FAILED: flat and walker scorers disagree" >&2
-    diff "$workdir/scored_flat.csv" "$workdir/scored_walker.csv" | head >&2
+  # Scored output must be byte-identical at any thread count. 1024-row
+  # requests span four 256-row scoring blocks, so 4 threads really split
+  # each request. (FlatGolden.* holds the kernel to the pointer walker.)
+  for threads in 1 4; do
+    RAINSHINE_THREADS=$threads ./build/tools/rainshine_score \
+      --model "$workdir/demo.rsf" --request-rows 1024 \
+      --input "$workdir/rows.csv" --output "$workdir/scored_t$threads.csv"
+  done
+  if ! cmp -s "$workdir/scored_t1.csv" "$workdir/scored_t4.csv"; then
+    echo "serve smoke FAILED: 1 and 4 threads disagree" >&2
+    diff "$workdir/scored_t1.csv" "$workdir/scored_t4.csv" | head >&2
     exit 1
   fi
-  echo "serve smoke: flat and walker outputs byte-identical"
+  echo "serve smoke: 1- and 4-thread outputs byte-identical"
 
   echo "== metrics smoke: sidecars parse and carry the expected series =="
   # modelc --demo fits straight from the simulated log (no ingest pass).
@@ -144,7 +145,7 @@ if [[ "$net_smoke" == 1 ]]; then
     --metrics "$netdir/serve_metrics.json" > "$netdir/serve.out" \
     2> "$netdir/serve.err" &
   serve_pid=$!
-  # The tool prints "listening on HOST:PORT (scorer=...)" once bound.
+  # The tool prints "listening on HOST:PORT" once bound.
   port=""
   for _ in $(seq 1 50); do
     port="$(sed -n 's/^listening on [^:]*:\([0-9]*\).*$/\1/p' "$netdir/serve.out")"

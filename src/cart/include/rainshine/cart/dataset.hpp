@@ -40,6 +40,12 @@ struct FeatureInfo {
 };
 
 /// Column-major numeric snapshot of selected table columns.
+///
+/// Cell policy: NaN is the only missing marker. ±inf feature cells are
+/// ordinary values, not missing: they sort below/above every finite value
+/// and may be split on, and the cut placed between two adjacent values lo <
+/// hi is never outside (lo, hi] (see cut_between in grow.cpp), so an
+/// infinite neighbour cannot produce an empty child.
 class Dataset {
  public:
   /// With a response: for fitting. The response must be continuous/ordinal
@@ -81,6 +87,10 @@ class Dataset {
   /// Response: value (regression) or class code (classification).
   [[nodiscard]] double y(std::size_t row) const { return y_.at(row); }
   [[nodiscard]] std::span<const double> responses() const noexcept { return y_; }
+  /// Regression only: replaces the response in place, keeping every feature
+  /// column (refits on a transformed response reuse one Dataset). Same
+  /// checks as the constructor: one value per row, and a NaN throws.
+  void set_responses(std::span<const double> y);
 
   /// Classification only: number of classes / their names.
   [[nodiscard]] std::size_t num_classes() const noexcept { return class_labels_.size(); }

@@ -23,32 +23,20 @@
 //     `bitset_bits` mirrors Node::go_left.size() because the walker treats
 //     out-of-range codes as missing and the flat path must match bit-for-bit.
 //
-// The walker is retained as the golden reference (same pattern as the
-// presort-vs-exhaustive split engines): `Forest::predict` takes a `Scorer`
-// and tests assert bit-identity between the two on every feature shape.
+// The walker is retained only as the golden reference (same pattern as the
+// presort-vs-exhaustive split engines): batch `Forest::predict` always runs
+// this kernel, and tests assert it equals the single-row walker
+// (`Forest::predict(data, row)`) bit-for-bit on every feature shape.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "rainshine/cart/dataset.hpp"
 #include "rainshine/cart/tree.hpp"
 
 namespace rainshine::cart {
-
-/// Which prediction kernel Forest::predict uses. The flat kernel is the
-/// production default; the pointer walker is the golden reference and stays
-/// reachable from the CLIs (`--scorer walker`) and the service config.
-enum class Scorer : std::uint8_t { kFlat, kWalker };
-
-[[nodiscard]] constexpr std::string_view to_string(Scorer s) noexcept {
-  return s == Scorer::kFlat ? "flat" : "walker";
-}
-/// Parses "flat" / "walker" (the CLI spelling). nullopt on anything else.
-[[nodiscard]] std::optional<Scorer> parse_scorer(std::string_view name) noexcept;
 
 /// One compiled node. 32 bytes, trivially copyable, no interior pointers —
 /// this exact byte layout (little-endian) is the `.rsf` v2 flat section, so

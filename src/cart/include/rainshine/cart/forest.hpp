@@ -36,8 +36,8 @@ struct ForestConfig {
 class Forest {
  public:
   /// Compiles the flat inference layout (see flat.hpp) as part of
-  /// construction, so every Forest — grown, loaded, or test-built — can
-  /// score with either kernel.
+  /// construction, so every Forest — grown, loaded, or test-built — scores
+  /// batches with it.
   Forest(Task task, std::vector<Tree> trees, double oob_error);
 
   /// Adopts a pre-built flat layout instead of compiling one (the `.rsf` v2
@@ -50,11 +50,11 @@ class Forest {
   [[nodiscard]] const FlatForest& flat() const noexcept { return flat_; }
 
   /// Regression: mean of tree predictions. Classification: plurality vote.
-  /// The single-row form always uses the pointer walker (it is the
-  /// per-tree golden reference); batch scoring picks the kernel.
+  /// The single-row form walks the pointer trees and is the golden
+  /// reference; the batch form runs the flat kernel (flat.hpp) and is
+  /// bit-identical to calling the single-row form on every row.
   [[nodiscard]] double predict(const Dataset& data, std::size_t row) const;
-  [[nodiscard]] std::vector<double> predict(const Dataset& data,
-                                            Scorer scorer = Scorer::kFlat) const;
+  [[nodiscard]] std::vector<double> predict(const Dataset& data) const;
 
   /// Out-of-bag error from fitting: mean squared error (regression) or
   /// error rate (classification) over rows, each predicted only by trees
@@ -81,9 +81,6 @@ class Forest {
   }
 
  private:
-  [[nodiscard]] double predict_row(const Dataset& data, std::size_t row,
-                                   std::vector<int>& votes) const;
-
   Task task_;
   std::vector<Tree> trees_;
   double oob_error_ = 0.0;

@@ -149,6 +149,20 @@ Dataset::Dataset(const table::Table& table, std::span<const FeatureInfo> referen
   }
 }
 
+void Dataset::set_responses(std::span<const double> y) {
+  util::require(task_ == Task::kRegression,
+                "set_responses is for regression datasets");
+  util::require(y.size() == num_rows_, "set_responses: " +
+                                           std::to_string(y.size()) +
+                                           " values for " +
+                                           std::to_string(num_rows_) + " rows");
+  for (std::size_t r = 0; r < y.size(); ++r) {
+    util::require(!std::isnan(y[r]), "response is missing at row " +
+                                         std::to_string(r + 1));
+  }
+  y_.assign(y.begin(), y.end());
+}
+
 Dataset Dataset::subset(std::span<const std::size_t> rows) const {
   Dataset out;
   out.task_ = task_;

@@ -30,12 +30,6 @@ static_assert(offsetof(FlatNode, leaf_children) == 30);
 
 }  // namespace
 
-std::optional<Scorer> parse_scorer(std::string_view name) noexcept {
-  if (name == "flat") return Scorer::kFlat;
-  if (name == "walker") return Scorer::kWalker;
-  return std::nullopt;
-}
-
 /// Per-chunk traversal scratch, reused across blocks so steady-state scoring
 /// allocates nothing.
 struct FlatForest::Scratch {

@@ -43,15 +43,16 @@ Forest::Forest(Task task, std::vector<Tree> trees, double oob_error,
                 "flat layout tree count does not match the forest");
 }
 
-double Forest::predict_row(const Dataset& data, std::size_t row,
-                           std::vector<int>& votes) const {
+double Forest::predict(const Dataset& data, std::size_t row) const {
   if (task_ == Task::kRegression) {
     double sum = 0.0;
     for (const Tree& tree : trees_) sum += tree.predict(data, row);
     return sum / static_cast<double>(trees_.size());
   }
-  // Flat tally indexed by class code; reused across rows by batch callers
-  // (a std::map here allocated a tree node per class on every prediction).
+  // Flat tally indexed by class code in thread_local scratch: tiny and per
+  // thread, so reusing it is race-free and allocation-free after the first
+  // call.
+  thread_local std::vector<int> votes;
   votes.assign(num_classes_, 0);
   for (const Tree& tree : trees_) {
     ++votes[static_cast<std::size_t>(tree.predict(data, row))];
@@ -63,29 +64,8 @@ double Forest::predict_row(const Dataset& data, std::size_t row,
   return static_cast<double>(best);
 }
 
-double Forest::predict(const Dataset& data, std::size_t row) const {
-  // thread_local scratch: the single-row path used to heap-allocate the
-  // vote tally on every call. The tally is tiny and per-thread, so reusing
-  // it is race-free and allocation-free after the first call — the win is
-  // small on a warm glibc heap (BM_PredictRow/1) but removes the only
-  // malloc on the batch-of-one serving path.
-  thread_local std::vector<int> votes;
-  return predict_row(data, row, votes);
-}
-
-std::vector<double> Forest::predict(const Dataset& data, Scorer scorer) const {
-  if (scorer == Scorer::kFlat) return flat_.predict(data);
-  std::vector<double> out(data.num_rows());
-  // Pure reads over immutable trees; rows land in their own slots, so any
-  // chunking is trivially deterministic.
-  util::parallel_for(data.num_rows(), 0,
-                     [&](std::size_t begin, std::size_t end) {
-                       std::vector<int> votes;
-                       for (std::size_t r = begin; r < end; ++r) {
-                         out[r] = predict_row(data, r, votes);
-                       }
-                     });
-  return out;
+std::vector<double> Forest::predict(const Dataset& data) const {
+  return flat_.predict(data);
 }
 
 std::vector<Importance> Forest::variable_importance() const {

@@ -111,7 +111,7 @@ std::vector<EffectLevel> residualized_effect(const table::Table& tbl,
   util::require(dec_col.type() == table::ColumnType::kNominal,
                 "residualized_effect requires a nominal decision variable");
 
-  const Dataset nuisance(tbl, response, other_features, Task::kRegression);
+  Dataset nuisance(tbl, response, other_features, Task::kRegression);
   stats::Accumulator grand;
   for (const double y : nuisance.responses()) grand.add(y);
   const std::size_t n = nuisance.num_rows();
@@ -137,8 +137,11 @@ std::vector<EffectLevel> residualized_effect(const table::Table& tbl,
   // nuisance configuration.
   constexpr int kBackfitIterations = 3;
   // Only the response changes between iterations, so every backfit tree
-  // reads one presorted order of the nuisance features.
+  // reads one presorted order of the nuisance features, and each backfit
+  // swaps the deflated response into the one nuisance Dataset.
   const SharedOrder order(nuisance);
+  const std::vector<double> observed(nuisance.responses().begin(),
+                                     nuisance.responses().end());
   const auto codes = dec_col.nominal_codes();
   std::vector<double> effect(dec_col.cardinality(), 1.0);
   std::vector<double> ratios(n, 1.0);
@@ -150,18 +153,11 @@ std::vector<EffectLevel> residualized_effect(const table::Table& tbl,
           codes[r] == table::kMissingCode
               ? 1.0
               : effect[static_cast<std::size_t>(codes[r])];
-      deflated[r] = nuisance.y(r) / e;
+      deflated[r] = observed[r] / e;
     }
-    // Rebuild a scratch table with the deflated response; feature columns
-    // are shared schema-wise with the original.
-    table::Table scratch;
-    for (const auto& name : other_features) {
-      scratch.add_column(name, tbl.column(name));
-    }
-    scratch.add_column("__deflated__", table::Column::continuous(deflated));
-    const Dataset data(scratch, "__deflated__", other_features, Task::kRegression);
-    const Tree tree = grow(data, growth, {}, order);
-    const std::vector<double> fitted = tree.predict(data);
+    nuisance.set_responses(deflated);
+    const Tree tree = grow(nuisance, growth, {}, order);
+    const std::vector<double> fitted = tree.predict(nuisance);
 
     stats::Accumulator deflated_mean;
     for (const double y : deflated) deflated_mean.add(y);

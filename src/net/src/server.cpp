@@ -408,10 +408,7 @@ HttpResponse HttpServer::handle_models() const {
   json += ",\"task\":\"";
   json += meta.task == cart::Task::kClassification ? "classification"
                                                    : "regression";
-  json += "\",\"oob_error\":" + format_double(meta.oob_error);
-  json += ",\"scorer\":\"";
-  json += cart::to_string(service->scorer());
-  json += "\"}";
+  json += "\",\"oob_error\":" + format_double(meta.oob_error) + "}";
   json += ",\"registered\":[";
   if (registry_ != nullptr) {
     bool first = true;

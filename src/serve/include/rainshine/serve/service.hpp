@@ -107,10 +107,6 @@ struct ServiceConfig {
   /// long. Scoring is per request, so a hold only adds latency; it exists
   /// to keep requests queued (backpressure, drain and deadline tests).
   std::chrono::microseconds max_batch_delay{0};
-  /// Which inference engine scores batches: the flat compiled layout
-  /// (default) or the pointer-walking reference. Both are bit-identical;
-  /// kWalker exists as the golden fallback (--scorer=walker).
-  cart::Scorer scorer = cart::Scorer::kFlat;
 };
 
 /// Monotonic counters snapshot. Latencies are measured enqueue → scored, in
@@ -197,7 +193,6 @@ class PredictionService {
 
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] const ModelMetadata& model() const noexcept { return meta_; }
-  [[nodiscard]] cart::Scorer scorer() const noexcept { return config_.scorer; }
 
  private:
   struct Request {

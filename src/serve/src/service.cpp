@@ -303,7 +303,7 @@ void PredictionService::score_batch(std::vector<Request> batch) {
         // bit-identical at any thread count and does not depend on what else
         // is in the batch, so batching is pure scheduling.
         const auto start = std::chrono::steady_clock::now();
-        result = forest_->predict(req.rows, config_.scorer);
+        result = forest_->predict(req.rows);
         predict_us = elapsed_us(start);
       } catch (...) {
         error = std::current_exception();

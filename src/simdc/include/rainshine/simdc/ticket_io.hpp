@@ -40,7 +40,6 @@
 namespace rainshine::simdc {
 
 void write_ticket_csv(const TicketLog& log, std::ostream& out);
-void write_ticket_csv_file(const TicketLog& log, const std::string& path);
 
 /// Import controls.
 struct TicketReadOptions {

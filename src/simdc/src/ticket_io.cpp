@@ -141,13 +141,6 @@ void write_ticket_csv(const TicketLog& log, std::ostream& out) {
   }
 }
 
-void write_ticket_csv_file(const TicketLog& log, const std::string& path) {
-  std::ofstream out(path);
-  util::require(out.good(), "cannot open ticket CSV for writing: " + path);
-  write_ticket_csv(log, out);
-  util::require(out.good(), "I/O error writing ticket CSV: " + path);
-}
-
 TicketLog read_ticket_csv(std::istream& in, const Fleet& fleet,
                           const TicketReadOptions& options, IngestReport* report) {
   // Accounting always runs — into the caller's report when supplied (delta

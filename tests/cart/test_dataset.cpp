@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "rainshine/cart/tree.hpp"
 #include "rainshine/util/check.hpp"
@@ -98,6 +99,32 @@ TEST(Dataset, RejectsMissingResponseValues) {
   t.add_column("x", Column::continuous({1.0, 2.0}));
   t.add_column("y", std::move(y));
   EXPECT_THROW(Dataset(t, "y", {"x"}, Task::kRegression), util::precondition_error);
+}
+
+TEST(Dataset, SetResponsesKeepsFeaturesAndChecksLikeTheConstructor) {
+  const Table t = train_table();
+  Dataset data(t, "y", {"color", "size"}, Task::kRegression);
+  const std::vector<double> y = {0.5, -1.0, std::numeric_limits<double>::infinity(),
+                                 2.0, 0.0, 7.25};
+  data.set_responses(y);
+  ASSERT_EQ(data.num_rows(), y.size());
+  for (std::size_t r = 0; r < y.size(); ++r) {
+    EXPECT_EQ(data.y(r), y[r]);
+    EXPECT_DOUBLE_EQ(data.x(r, 1), static_cast<double>(r + 1));
+  }
+  // One value per row, no NaN (the only missing marker), regression only.
+  EXPECT_THROW(data.set_responses(std::vector<double>(5, 1.0)),
+               util::precondition_error);
+  std::vector<double> nan_at_3(6, 1.0);
+  nan_at_3[3] = std::nan("");
+  EXPECT_THROW(data.set_responses(nan_at_3), util::precondition_error);
+  EXPECT_EQ(data.y(3), 2.0);  // a refused swap leaves the response alone
+  Table labelled = t;
+  labelled.add_column("label", Column::nominal(std::vector<std::string>{
+                                   "a", "b", "a", "b", "a", "b"}));
+  Dataset classes(labelled, "label", {"size"}, Task::kClassification);
+  EXPECT_THROW(classes.set_responses(std::vector<double>(6, 0.0)),
+               util::precondition_error);
 }
 
 TEST(Dataset, DropRowsSkipsMissingResponses) {

@@ -1,20 +1,25 @@
 // Golden-equality suite for the flat batch-major scorer.
 //
-// FlatForest (Scorer::kFlat, the production default) must predict EXACTLY
-// what the pointer walker (Scorer::kWalker, the seed implementation)
-// predicts — bit-identical doubles, not approximately equal — across every
-// feature shape the walker handles: all-numeric fast path, missing values
-// routed by the recorded default side, categorical subset tests with
-// out-of-dictionary codes, single-node trees, and ties in classification
-// votes. Same pattern as the presort-vs-exhaustive split-engine suite.
+// FlatForest (the kernel behind batch Forest::predict) must predict EXACTLY
+// what the pointer walker (the single-row Forest::predict(data, row), the
+// seed implementation) predicts — bit-identical doubles, not approximately
+// equal — across every feature shape the walker handles: all-numeric fast
+// path, adjacent and extreme doubles (signed zeros, ±DBL_MAX, ±inf),
+// missing values routed by the recorded default side, categorical subset
+// tests with out-of-dictionary codes, single-node trees, and ties in
+// classification votes. Same pattern as the presort-vs-exhaustive
+// split-engine suite.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "rainshine/cart/forest.hpp"
+#include "rainshine/obs/metrics.hpp"
 #include "rainshine/util/parallel.hpp"
 #include "rainshine/util/rng.hpp"
 
@@ -34,6 +39,17 @@ void expect_bit_identical(const std::vector<double>& a,
     EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]), std::bit_cast<std::uint64_t>(b[i]))
         << "row " << i << ": flat " << a[i] << " vs walker " << b[i];
   }
+}
+
+/// The golden reference: the pointer walker, one row at a time.
+std::vector<double> walker_predict(const Forest& forest, const Dataset& data) {
+  std::vector<double> out(data.num_rows());
+  for (std::size_t r = 0; r < out.size(); ++r) out[r] = forest.predict(data, r);
+  return out;
+}
+
+void expect_flat_matches_walker(const Forest& forest, const Dataset& data) {
+  expect_bit_identical(forest.predict(data), walker_predict(forest, data));
 }
 
 Table numeric_fixture(std::size_t n, util::Rng& rng, double missing_rate = 0.0) {
@@ -97,6 +113,65 @@ ForestConfig small_forest(std::size_t trees = 12) {
   return cfg;
 }
 
+/// Columns whose cuts sit on rounding edges (the CutPlacement inputs of
+/// test_grow_golden.cpp), each with a 0/1 response "y01" (grown by
+/// histogram) and a fractional one "yfrac" (grown by the sweep): 40 rows
+/// alternating between two adjacent or extreme values per pair, then 600
+/// seeded rows over ±0.0, ±inf, ±DBL_MAX, DBL_MIN and runs of adjacent
+/// doubles around 1.0 and 0.3.
+std::vector<Table> extreme_value_fixtures() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<Table> out;
+  const std::pair<double, double> pairs[] = {
+      {std::nextafter(0.3, 0.0), 0.3},
+      {1.0, std::nextafter(1.0, 2.0)},
+      {-kInf, -DBL_MAX},
+      {DBL_MAX, kInf},
+  };
+  for (const auto& [lo, hi] : pairs) {
+    std::vector<double> x;
+    std::vector<double> y01;
+    std::vector<double> yfrac;
+    for (std::size_t i = 0; i < 40; ++i) {
+      x.push_back(i % 2 == 0 ? lo : hi);
+      y01.push_back(static_cast<double>(i % 2));
+      yfrac.push_back(0.25 + static_cast<double>(i % 2));
+    }
+    Table t;
+    t.add_column("x", Column::continuous(std::move(x)));
+    t.add_column("y01", Column::continuous(std::move(y01)));
+    t.add_column("yfrac", Column::continuous(std::move(yfrac)));
+    out.push_back(std::move(t));
+  }
+
+  std::vector<double> pool = {-kInf, -DBL_MAX, std::nextafter(-DBL_MAX, 0.0), -0.0, 0.0,
+                              DBL_MIN, DBL_MAX, kInf};
+  for (const double base : {1.0, 0.3}) {
+    double v = base;
+    for (int k = 0; k < 4; ++k) {
+      pool.push_back(v);
+      v = std::nextafter(v, 2.0);
+    }
+  }
+  util::Rng rng(601);
+  std::vector<double> x(600);
+  std::vector<double> y01(600);
+  std::vector<double> yfrac(600);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const auto k = static_cast<std::size_t>(rng.below(pool.size()));
+    x[i] = pool[k];
+    y01[i] = static_cast<double>((k * 7) % 5 >= 2);
+    yfrac[i] = 0.3 * static_cast<double>((k * 7) % 5) +
+               0.1 * static_cast<double>(rng.below(2));
+  }
+  Table t;
+  t.add_column("x", Column::continuous(std::move(x)));
+  t.add_column("y01", Column::continuous(std::move(y01)));
+  t.add_column("yfrac", Column::continuous(std::move(yfrac)));
+  out.push_back(std::move(t));
+  return out;
+}
+
 TEST(FlatGolden, NumericRegressionFastPath) {
   util::Rng rng(11);
   // 700 rows spans multiple 256-row blocks plus a ragged tail.
@@ -104,8 +179,25 @@ TEST(FlatGolden, NumericRegressionFastPath) {
   const Dataset data(t, "y", {"x1", "x2", "x3"}, Task::kRegression);
   const Forest forest = grow_forest(data, small_forest());
   EXPECT_FALSE(forest.flat().has_categorical());
-  expect_bit_identical(forest.predict(data, Scorer::kFlat),
-                       forest.predict(data, Scorer::kWalker));
+  expect_flat_matches_walker(forest, data);
+
+  // Cuts between adjacent and extreme doubles, grown to single-row leaves.
+  ForestConfig deep = small_forest(8);
+  deep.tree.min_samples_split = 2;
+  deep.tree.min_samples_leaf = 1;
+  deep.tree.cp = 0.0;
+  for (const Table& extreme : extreme_value_fixtures()) {
+    for (const bool binary : {true, false}) {
+      const Dataset d(extreme, binary ? "y01" : "yfrac", {"x"}, Task::kRegression);
+      const std::uint64_t before =
+          obs::registry().counter("cart.histogram_features").value();
+      const Forest f = grow_forest(d, deep);
+      EXPECT_EQ(obs::registry().counter("cart.histogram_features").value() - before,
+                binary ? deep.num_trees : 0U);
+      EXPECT_GT(f.flat().nodes().size(), f.size()) << "no tree split";
+      expect_flat_matches_walker(f, d);
+    }
+  }
 }
 
 TEST(FlatGolden, NumericRegressionWithMissingValues) {
@@ -113,8 +205,7 @@ TEST(FlatGolden, NumericRegressionWithMissingValues) {
   const Table t = numeric_fixture(600, rng, 0.15);
   const Dataset data(t, "y", {"x1", "x2", "x3"}, Task::kRegression);
   const Forest forest = grow_forest(data, small_forest());
-  expect_bit_identical(forest.predict(data, Scorer::kFlat),
-                       forest.predict(data, Scorer::kWalker));
+  expect_flat_matches_walker(forest, data);
 }
 
 TEST(FlatGolden, MixedCategoricalRegression) {
@@ -123,8 +214,7 @@ TEST(FlatGolden, MixedCategoricalRegression) {
   const Dataset data(t, "y", {"temp", "age", "sku"}, Task::kRegression);
   const Forest forest = grow_forest(data, small_forest());
   EXPECT_TRUE(forest.flat().has_categorical());
-  expect_bit_identical(forest.predict(data, Scorer::kFlat),
-                       forest.predict(data, Scorer::kWalker));
+  expect_flat_matches_walker(forest, data);
 }
 
 TEST(FlatGolden, ClassificationWithCategoricalAndMissing) {
@@ -132,8 +222,7 @@ TEST(FlatGolden, ClassificationWithCategoricalAndMissing) {
   const Table t = mixed_fixture(500, rng, 0.1);
   const Dataset data(t, "label", {"temp", "age", "sku"}, Task::kClassification);
   const Forest forest = grow_forest(data, small_forest(16));
-  expect_bit_identical(forest.predict(data, Scorer::kFlat),
-                       forest.predict(data, Scorer::kWalker));
+  expect_flat_matches_walker(forest, data);
 }
 
 TEST(FlatGolden, UnseenCategoricalLabelsScoreAsMissing) {
@@ -165,8 +254,7 @@ TEST(FlatGolden, UnseenCategoricalLabelsScoreAsMissing) {
   t.add_column("age", Column::continuous(std::move(age)));
   t.add_column("sku", std::move(sku));
   const Dataset scoring(t, fitted.infos());
-  expect_bit_identical(forest.predict(scoring, Scorer::kFlat),
-                       forest.predict(scoring, Scorer::kWalker));
+  expect_flat_matches_walker(forest, scoring);
 }
 
 TEST(FlatGolden, SingleNodeTrees) {
@@ -180,8 +268,7 @@ TEST(FlatGolden, SingleNodeTrees) {
     ASSERT_EQ(tree.nodes().size(), 1u);
   }
   for (const std::uint32_t d : forest.flat().depths()) EXPECT_EQ(d, 0u);
-  expect_bit_identical(forest.predict(data, Scorer::kFlat),
-                       forest.predict(data, Scorer::kWalker));
+  expect_flat_matches_walker(forest, data);
 }
 
 TEST(FlatGolden, SingleRowPredictMatchesBatch) {
@@ -189,7 +276,7 @@ TEST(FlatGolden, SingleRowPredictMatchesBatch) {
   const Table t = mixed_fixture(300, rng, 0.1);
   const Dataset data(t, "label", {"temp", "age", "sku"}, Task::kClassification);
   const Forest forest = grow_forest(data, small_forest());
-  const std::vector<double> flat = forest.predict(data, Scorer::kFlat);
+  const std::vector<double> flat = forest.predict(data);
   for (std::size_t r = 0; r < data.num_rows(); ++r) {
     EXPECT_EQ(forest.predict(data, r), flat[r]) << "row " << r;
   }
@@ -241,10 +328,10 @@ TEST(FlatGolden, DeterministicAcrossThreadCounts) {
   const Forest forest = grow_forest(data, small_forest());
 
   util::set_num_threads(1);
-  const std::vector<double> serial = forest.predict(data, Scorer::kFlat);
+  const std::vector<double> serial = forest.predict(data);
   for (const std::size_t threads : {std::size_t{0}, std::size_t{2}, std::size_t{5}}) {
     util::set_num_threads(threads);
-    expect_bit_identical(forest.predict(data, Scorer::kFlat), serial);
+    expect_bit_identical(forest.predict(data), serial);
   }
   util::set_num_threads(0);
 }

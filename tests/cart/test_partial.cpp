@@ -119,6 +119,29 @@ TEST(ResidualizedEffect, ValidatesArguments) {
                util::precondition_error);
 }
 
+TEST(ResidualizedEffect, AllZeroLevelDeflatesToNaNAndThrows) {
+  // Level "Z" never fails, so the first backfit sets its effect to 0 and
+  // the second deflates its rows by 0/0: the NaN response is refused, as a
+  // freshly built Dataset would refuse it.
+  util::Rng rng(8);
+  const ConfoundedWorld world(400, rng);
+  Table t = world.data;
+  std::vector<std::string> levels;
+  std::vector<double> y;
+  const Column& y_col = t.column("y");
+  for (std::size_t r = 0; r < t.num_rows(); ++r) {
+    const bool zero = r % 4 == 0;
+    levels.push_back(zero ? "Z" : "N");
+    y.push_back(zero ? 0.0 : y_col.as_double(r));
+  }
+  t.add_column("level", Column::nominal(levels));
+  t.add_column("y0", Column::continuous(std::move(y)));
+  EXPECT_THROW(residualized_effect(t, "y0", "level", {"sku", "workload"}),
+               util::precondition_error);
+  EXPECT_NO_THROW(residualized_effect(t, "y0", "level", {"sku", "workload"},
+                                      Config{}, EffectScale::kAdditive));
+}
+
 TEST(PartialDependence, TracksStepFunction) {
   util::Rng rng(6);
   std::vector<double> x(1000);

@@ -144,8 +144,6 @@ TEST(HttpServer, HealthzModelsAndMetricsEndpoints) {
   EXPECT_NE(models.body.find("\"name\":\"net-test\""), std::string::npos);
   EXPECT_NE(models.body.find("\"version\":3"), std::string::npos);
   EXPECT_NE(models.body.find("\"draining\":false"), std::string::npos);
-  // The active inference engine is operator-visible (flat by default).
-  EXPECT_NE(models.body.find("\"scorer\":\"flat\""), std::string::npos);
 
   const auto text = fx.get("/metrics");
   ASSERT_EQ(text.status, 200);

@@ -199,12 +199,11 @@ TEST(Artifact, V2AdoptedFlatLayoutEqualsCompiled) {
   EXPECT_EQ(back.forest->flat(), forest.flat());
 
   const cart::Dataset scoring(t, forest.trees().front().features());
-  const auto flat = back.forest->predict(scoring, cart::Scorer::kFlat);
-  const auto walker = back.forest->predict(scoring, cart::Scorer::kWalker);
-  ASSERT_EQ(flat.size(), walker.size());
+  const auto flat = back.forest->predict(scoring);
+  ASSERT_EQ(flat.size(), scoring.num_rows());
   for (std::size_t r = 0; r < flat.size(); ++r) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(flat[r]),
-              std::bit_cast<std::uint64_t>(walker[r]))
+              std::bit_cast<std::uint64_t>(back.forest->predict(scoring, r)))
         << "row " << r;
   }
 }
@@ -265,8 +264,11 @@ TEST(Artifact, V1GoldenArtifactStillLoads) {
   t.add_column("x", Column::continuous(std::move(x)));
   t.add_column("dc", std::move(dc));
   const cart::Dataset scoring(t, art.meta.schema);
-  const auto flat = art.forest->predict(scoring, cart::Scorer::kFlat);
-  const auto walker = art.forest->predict(scoring, cart::Scorer::kWalker);
+  const auto flat = art.forest->predict(scoring);
+  std::vector<double> walker(scoring.num_rows());
+  for (std::size_t r = 0; r < walker.size(); ++r) {
+    walker[r] = art.forest->predict(scoring, r);
+  }
   EXPECT_EQ(flat, walker);
 
   // Upgrading the golden file in place: re-saving writes v2 and the adopted

@@ -49,7 +49,7 @@ struct Options {
                "usage: %s --model model.rsf [--input rows.csv|-] "
                "[--output out.csv] [--request-rows N]\n"
                "        [--batch N] [--queue N] [--stats]\n"
-               "        [--metrics metrics.json] [--scorer flat|walker]\n",
+               "        [--metrics metrics.json]\n",
                argv0);
   std::exit(2);
 }
@@ -77,13 +77,6 @@ Options parse(int argc, char** argv) {
           std::strtoul(need_value(argc, argv, i), nullptr, 10));
     else if (a == "--stats") opt.stats = true;
     else if (a == "--metrics") opt.metrics = need_value(argc, argv, i);
-    else if (a == "--scorer" || a.starts_with("--scorer=")) {
-      const std::string_view name =
-          a == "--scorer" ? need_value(argc, argv, i) : a.substr(9);
-      const auto scorer = cart::parse_scorer(name);
-      if (!scorer) usage(argv[0]);
-      opt.service.scorer = *scorer;
-    }
     else usage(argv[0]);
   }
   if (opt.model.empty() || opt.request_rows == 0) usage(argv[0]);

@@ -52,8 +52,7 @@ struct Options {
                "[--max-deadline-ms N]\n"
                "        [--read-timeout-ms N] [--write-timeout-ms N]\n"
                "        [--batch N] [--queue N] "
-               "[--metrics metrics.json]\n"
-               "        [--scorer flat|walker]\n",
+               "[--metrics metrics.json]\n",
                argv0);
   std::exit(2);
 }
@@ -98,13 +97,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--queue")
       opt.service.max_queue_rows = static_cast<std::size_t>(
           std::strtoul(need_value(argc, argv, i), nullptr, 10));
-    else if (a == "--scorer" || a.starts_with("--scorer=")) {
-      const std::string_view name =
-          a == "--scorer" ? need_value(argc, argv, i) : a.substr(9);
-      const auto scorer = cart::parse_scorer(name);
-      if (!scorer) usage(argv[0]);
-      opt.service.scorer = *scorer;
-    }
     else usage(argv[0]);
   }
   if (opt.model.empty()) usage(argv[0]);
@@ -162,10 +154,8 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, drain_handler);
     std::signal(SIGINT, drain_handler);
 
-    std::fprintf(stdout, "listening on %s:%u (scorer=%s)\n",
-                 opt.server.host.c_str(),
-                 static_cast<unsigned>(server.port()),
-                 std::string(cart::to_string(service->scorer())).c_str());
+    std::fprintf(stdout, "listening on %s:%u\n", opt.server.host.c_str(),
+                 static_cast<unsigned>(server.port()));
     std::fflush(stdout);
 
     server.wait();  // returns after a signal-initiated drain completes

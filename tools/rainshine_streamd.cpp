@@ -9,7 +9,6 @@
 //                     [--trees N] [--stride N] [--telemetry-samples N]
 //                     [--host H] [--port P] [--workers N]
 //                     [--batch N] [--queue N]
-//                     [--scorer flat|walker]
 //                     [--snapshot store.rss] [--metrics metrics.json]
 //
 // The HTTP server starts as soon as the FIRST retrain publishes a model;
@@ -27,10 +26,10 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,8 +68,7 @@ struct Options {
                "        [--retrain-days N] [--window-days N] [--min-history N]\n"
                "        [--trees N] [--stride N] [--telemetry-samples N]\n"
                "        [--host H] [--port P] [--workers N]\n"
-               "        [--batch N] [--queue N] "
-               "[--scorer flat|walker]\n"
+               "        [--batch N] [--queue N]\n"
                "        [--snapshot store.rss] [--metrics metrics.json]\n",
                argv0);
   std::exit(2);
@@ -124,13 +122,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--queue")
       opt.service.max_queue_rows = static_cast<std::size_t>(
           std::strtoul(need_value(argc, argv, i), nullptr, 10));
-    else if (a == "--scorer" || a.starts_with("--scorer=")) {
-      const std::string_view name =
-          a == "--scorer" ? need_value(argc, argv, i) : a.substr(9);
-      const auto scorer = cart::parse_scorer(name);
-      if (!scorer) usage(argv[0]);
-      opt.service.scorer = *scorer;
-    }
     else usage(argv[0]);
   }
   if (opt.fleet != "test" && opt.fleet != "paper") usage(argv[0]);
@@ -286,8 +277,9 @@ int main(int argc, char** argv) {
     }
 
     if (!opt.snapshot.empty()) {
-      std::ofstream out(opt.snapshot, std::ios::binary);
+      std::ostringstream out;
       store.snapshot(out);
+      obs::write_file(opt.snapshot, out.view());
       std::fprintf(stderr, "store snapshot -> %s\n", opt.snapshot.c_str());
     }
     if (!opt.metrics.empty()) {
